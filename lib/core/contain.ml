@@ -521,6 +521,28 @@ let analyze ?(config = default_config) manifests =
   let radii = List.map (fun m -> radius_of g m.Manifest.name) manifests in
   assemble config manifests edges radii
 
+(* --- dynamic soundness -------------------------------------------------------- *)
+
+let audit r ~kills observed =
+  let rank_opt = function None -> 0 | Some im -> rank im in
+  let allowed c =
+    (* a repeated kill can spend the restart budget: give-up is licensed *)
+    if List.length (List.filter (String.equal c) kills) > 1 then Some Failed
+    else
+      List.fold_left
+        (fun acc rad ->
+          match List.assoc_opt c rad.r_hit with
+          | Some im when List.mem rad.r_root kills && rank im > rank_opt acc ->
+            Some im
+          | _ -> acc)
+        None r.radii
+  in
+  List.filter_map
+    (fun (c, im) ->
+      let a = allowed c in
+      if rank im > rank_opt a then Some (c, im, a) else None)
+    observed
+
 (* --- incremental support ---------------------------------------------------- *)
 
 let dirty_roots ~old_edges ~new_edges ~touched =
@@ -599,53 +621,46 @@ let render_text ~file r =
   Buffer.contents buf
 
 let render_json ~file r =
-  let js = Diagnostic.json_string in
-  let arr xs = "[" ^ String.concat "," xs ^ "]" in
-  let radii =
-    arr
-      (List.map
-         (fun rad ->
-           let victims =
-             List.filter (fun (n, _) -> n <> rad.r_root) rad.r_hit
-           in
-           let escape =
-             match rad.r_escape with
-             | None -> ""
-             | Some x ->
-               Printf.sprintf
-                 ",\"escape\":{\"victim\":%s,\"impact\":%s,\"outside\":%d,\"path\":%s}"
-                 (js x.x_victim)
-                 (js (impact_to_string x.x_impact))
-                 x.x_outside
-                 (arr (List.map js x.x_path))
-           in
-           Printf.sprintf "{\"root\":%s,\"self\":%s,\"victims\":%s%s}"
-             (js rad.r_root)
-             (js (impact_to_string rad.r_self))
-             (arr
-                (List.map
-                   (fun (n, i) ->
-                     Printf.sprintf "{\"component\":%s,\"impact\":%s}" (js n)
-                       (js (impact_to_string i)))
-                   victims))
-             escape)
-         r.radii)
+  let module Json = Lt_obs.Json in
+  let impact i = Json.Str (impact_to_string i) in
+  let radius rad =
+    let escape =
+      match rad.r_escape with
+      | None -> []
+      | Some x ->
+        [ ( "escape",
+            Json.Obj
+              [ ("victim", Json.Str x.x_victim); ("impact", impact x.x_impact);
+                ("outside", Json.Int x.x_outside); ("path", Json.strs x.x_path) ] ) ]
+    in
+    Json.Obj
+      ([ ("root", Json.Str rad.r_root); ("self", impact rad.r_self);
+         ( "victims",
+           Json.List
+             (List.filter_map
+                (fun (n, i) ->
+                  if n = rad.r_root then None
+                  else Some (Json.Obj [ ("component", Json.Str n); ("impact", impact i) ]))
+                rad.r_hit) ) ]
+      @ escape)
   in
-  let edges =
-    arr
-      (List.map
-         (fun e ->
-           Printf.sprintf "{\"src\":%s,\"dst\":%s,\"kind\":%s}" (js e.p_src)
-             (js e.p_dst)
-             (js (kind_to_string e.p_kind)))
-         r.edges)
-  in
-  Printf.sprintf "{\"file\":%s,\"verdict\":%s,\"radii\":%s,\"edges\":%s}" (js file)
-    (js
-       (match r.verdict with
-        | Contained -> "contained"
-        | Uncontained _ -> "uncontained"))
-    radii edges
+  Json.to_string
+    (Json.Obj
+       [ ("file", Json.Str file);
+         ( "verdict",
+           Json.Str
+             (match r.verdict with
+              | Contained -> "contained"
+              | Uncontained _ -> "uncontained") );
+         ("radii", Json.List (List.map radius r.radii));
+         ( "edges",
+           Json.List
+             (List.map
+                (fun e ->
+                  Json.Obj
+                    [ ("src", Json.Str e.p_src); ("dst", Json.Str e.p_dst);
+                      ("kind", Json.Str (kind_to_string e.p_kind)) ])
+                r.edges) ) ])
 
 let to_dot manifests r =
   let manifests = dedupe manifests in

@@ -190,6 +190,19 @@ type result = {
     structurally equal results. *)
 val analyze : ?config:config -> Manifest.t list -> result
 
+(** {2 Dynamic soundness} *)
+
+(** [audit r ~kills observed] — the chaos harnesses' soundness check,
+    observed ⊆ static: each [(component, impact)] in [observed] may be
+    at most the worst impact that any root in [kills] has on it in
+    [r]'s radii. [kills] holds one entry per kill; a root killed more
+    than once may have spent its restart budget, so that licenses
+    [Failed] on itself. Returns the escapes in [observed]'s order, each
+    with the impact the static radii allow ([None]: untouched). *)
+val audit :
+  result -> kills:string list -> (string * impact) list ->
+  (string * impact * impact option) list
+
 (** {2 Reports} *)
 
 val render_text : file:string -> result -> string

@@ -53,35 +53,17 @@ let to_text t =
     (String.make 52 ' ')
     t.fix_hint
 
-(* minimal JSON string escaping: the repo deliberately has no JSON
-   dependency, and diagnostics only need the string/null/object subset *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string s = "\"" ^ json_escape s ^ "\""
-
 let to_json t =
-  Printf.sprintf
-    "{\"rule\":%s,\"severity\":%s,\"component\":%s,\"service\":%s,\"message\":%s,\"fix_hint\":%s,\"location\":%s}"
-    (json_string t.rule_id)
-    (json_string (severity_to_string t.severity))
-    (json_string t.component)
-    (match t.service with None -> "null" | Some s -> json_string s)
-    (json_string t.message) (json_string t.fix_hint)
-    (match t.loc with
-     | None -> "null"
-     | Some { file; line } ->
-       Printf.sprintf "{\"file\":%s,\"line\":%d}" (json_string file) line)
+  let module Json = Lt_obs.Json in
+  let opt f = function None -> Json.Null | Some v -> f v in
+  Json.Obj
+    [ ("rule", Json.Str t.rule_id);
+      ("severity", Json.Str (severity_to_string t.severity));
+      ("component", Json.Str t.component);
+      ("service", opt (fun s -> Json.Str s) t.service);
+      ("message", Json.Str t.message); ("fix_hint", Json.Str t.fix_hint);
+      ( "location",
+        opt
+          (fun { file; line } ->
+            Json.Obj [ ("file", Json.Str file); ("line", Json.Int line) ])
+          t.loc ) ]

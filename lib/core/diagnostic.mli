@@ -49,9 +49,6 @@ val to_text : t -> string
 
 (** One JSON object; [service] and [location] become [null] when
     absent. *)
-val to_json : t -> string
-
-(** JSON string literal with escaping — exposed for composite emitters. *)
-val json_string : string -> string
+val to_json : t -> Lt_obs.Json.t
 
 val pp : Format.formatter -> t -> unit

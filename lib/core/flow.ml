@@ -576,57 +576,60 @@ let render_text ~file ?conformance:conf r =
   Buffer.contents buf
 
 let render_json ~file ?conformance:conf r =
-  let js = Diagnostic.json_string in
-  let arr xs = "[" ^ String.concat "," xs ^ "]" in
-  let strs xs = arr (List.map js xs) in
-  let labels =
-    arr
-      (List.map
-         (fun (n, l) ->
-           Printf.sprintf "{\"component\":%s,\"label\":%s}" (js n)
-             (js (Flow_lattice.to_string l)))
-         r.labels)
-  in
-  let taint =
-    arr
-      (List.map
-         (fun h ->
-           Printf.sprintf
-             "{\"source\":%s,\"sink\":%s,\"direct\":%b,\"path\":%s}"
-             (js h.t_source) (js h.t_sink) h.t_direct (strs h.t_path))
-         r.taint_hits)
-  in
-  let leaks =
-    arr
-      (List.map
-         (fun l ->
-           Printf.sprintf "{\"secret\":%s,\"sink\":%s,\"path\":%s}" (js l.l_secret)
-             (js l.l_sink) (strs l.l_path))
-         r.leaks)
-  in
-  let conf_json =
+  let module Json = Lt_obs.Json in
+  let obj fields = Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) fields) in
+  let conformance =
     match conf with
-    | None -> ""
+    | None -> []
     | Some c ->
-      Printf.sprintf ",\"conformance\":{\"capabilities\":%d,\"over\":%s,\"under\":%s}"
-        (List.length c.facts)
-        (arr
-           (List.map
-              (fun o ->
-                Printf.sprintf "{\"task\":%s,\"endpoint\":%s,\"reason\":%s}"
-                  (js o.o_task) (js o.o_endpoint) (js o.o_reason))
-              c.over))
-        (arr
-           (List.map
-              (fun u ->
-                Printf.sprintf "{\"caller\":%s,\"target\":%s,\"services\":%s}"
-                  (js u.u_caller) (js u.u_target) (strs u.u_services))
-              c.under))
+      [ ( "conformance",
+          Json.Obj
+            [ ("capabilities", Json.Int (List.length c.facts));
+              ( "over",
+                Json.List
+                  (List.map
+                     (fun o ->
+                       obj
+                         [ ("task", o.o_task); ("endpoint", o.o_endpoint);
+                           ("reason", o.o_reason) ])
+                     c.over) );
+              ( "under",
+                Json.List
+                  (List.map
+                     (fun u ->
+                       Json.Obj
+                         [ ("caller", Json.Str u.u_caller);
+                           ("target", Json.Str u.u_target);
+                           ("services", Json.strs u.u_services) ])
+                     c.under) ) ] ) ]
   in
-  Printf.sprintf
-    "{\"file\":%s,\"verdict\":%s,\"labels\":%s,\"taint\":%s,\"leaks\":%s%s}" (js file)
-    (js (match r.verdict with Secure -> "secure" | Leak _ -> "leak"))
-    labels taint leaks conf_json
+  Json.to_string
+    (Json.Obj
+       ([ ("file", Json.Str file);
+          ("verdict", Json.Str (match r.verdict with Secure -> "secure" | Leak _ -> "leak"));
+          ( "labels",
+            Json.List
+              (List.map
+                 (fun (n, l) ->
+                   obj [ ("component", n); ("label", Flow_lattice.to_string l) ])
+                 r.labels) );
+          ( "taint",
+            Json.List
+              (List.map
+                 (fun h ->
+                   Json.Obj
+                     [ ("source", Json.Str h.t_source); ("sink", Json.Str h.t_sink);
+                       ("direct", Json.Bool h.t_direct); ("path", Json.strs h.t_path) ])
+                 r.taint_hits) );
+          ( "leaks",
+            Json.List
+              (List.map
+                 (fun l ->
+                   Json.Obj
+                     [ ("secret", Json.Str l.l_secret); ("sink", Json.Str l.l_sink);
+                       ("path", Json.strs l.l_path) ])
+                 r.leaks) ) ]
+       @ conformance))
 
 let to_dot manifests r =
   let manifests = dedupe manifests in

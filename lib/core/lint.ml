@@ -59,12 +59,15 @@ let render_text ~file diags =
   Buffer.contents buf
 
 let render_json ~file diags =
+  let module Json = Lt_obs.Json in
   let s = summarize diags in
-  Printf.sprintf
-    "{\"file\":%s,\"summary\":{\"errors\":%d,\"warnings\":%d,\"infos\":%d},\"diagnostics\":[%s]}"
-    (Diagnostic.json_string file)
-    s.errors s.warnings s.infos
-    (String.concat "," (List.map Diagnostic.to_json diags))
+  Json.to_string
+    (Json.Obj
+       [ ("file", Json.Str file);
+         ( "summary",
+           Json.counts
+             [ ("errors", s.errors); ("warnings", s.warnings); ("infos", s.infos) ] );
+         ("diagnostics", Json.List (List.map Diagnostic.to_json diags)) ])
 
 let catalogue () =
   List.map

@@ -70,11 +70,11 @@ type report = {
   fc_recovery_ticks : int list;
       (** per completed failover — what BENCH_fleet gates its median on *)
   fc_unplaced : string list;
-  fc_observed : (string * string) list;
+  fc_observed : (string * Contain.impact) list;
       (** dynamic blast radius: worst observed impact per component *)
-  fc_radius_escapes : (string * string * string) list;
-      (** component, observed impact, statically allowed impact — any
-          entry means observed ⊄ predicted *)
+  fc_radius_escapes : (string * Contain.impact * Contain.impact option) list;
+      (** component, observed impact, statically allowed impact
+          ([None]: untouched) — any entry means observed ⊄ predicted *)
   fc_unroutable : int;  (** packets sent into a void mailbox *)
   fc_counters : (string * int) list;
   fc_span_ticks : int;
@@ -130,12 +130,6 @@ val render_report_json : report -> string
     counterpart of {!Lt_scale}'s nested tenant domains). Killing a
     shard kills every one of its machines; the audit then proves the
     observed blast radius stayed inside the dead shards' domain set. *)
-
-(** [shard_of_host ~shards "host-n"] — the shard index, or an error on
-    a non-fleet host name. *)
-val shard_of_host : shards:int -> string -> (int, string) result
-
-val shard_hosts : hosts:int -> shards:int -> int -> string list
 
 (** [kill_shard_plan ~hosts ~shards ~kill] — a kill-only {!plan} that
     takes down every machine of every shard in [kill], each at its own

@@ -172,11 +172,6 @@ let generate rng _case =
 let raised what exn =
   Error (Printf.sprintf "%s raised %s" what (Printexc.to_string exn))
 
-let rank_of s =
-  match Contain.impact_of_string s with
-  | Some i -> Contain.rank i
-  | None -> 99
-
 (* static: analyze is total and deterministic, every root sits in its
    own radius at its own crash impact, and the supervised radii are
    contained in the unsupervised ones (hardening only shrinks damage) *)
@@ -272,54 +267,19 @@ let check_dynamic spec =
           let ms =
             List.filter_map (Deploy.manifest d) (Deploy.components d)
           in
-          let static = Contain.analyze ms in
-          let kill_count y =
-            List.length
-              (List.filter (fun (_, n) -> n = y) report.Chaos.c_kills)
-            + (if report.Chaos.c_flap_kills > 0 && spec.ps_flap = Some y
-               then report.Chaos.c_flap_kills
-               else 0)
-          in
-          let killed =
-            List.sort_uniq compare
-              (List.filter
-                 (fun n -> n <> "legacy_os")
-                 (List.map snd report.Chaos.c_kills
-                 @ (if report.Chaos.c_flap_kills > 0 then
-                      Option.to_list spec.ps_flap
-                    else [])))
-          in
-          let allowed y =
-            (* repeated kills may exhaust the restart budget: a give-up
-               (Failed) is always inside the prediction then *)
-            if kill_count y > 1 then 3
-            else
-              List.fold_left
-                (fun acc root ->
-                  match
-                    List.find_opt
-                      (fun x -> x.Contain.r_root = root)
-                      static.Contain.radii
-                  with
-                  | None -> acc
-                  | Some x ->
-                    (match List.assoc_opt y x.Contain.r_hit with
-                     | None -> acc
-                     | Some im -> max acc (Contain.rank im)))
-                0 killed
-          in
-          let rec audit = function
-            | [] -> Ok ()
-            | (y, obs) :: rest ->
-              if rank_of obs <= allowed y then audit rest
-              else
-                Error
-                  (Printf.sprintf
-                     "observed %s on %s outside the static radius of kills \
-                      [%s] (seed %d)"
-                     obs y (String.concat ", " killed) spec.ps_seed)
-          in
-          audit report.Chaos.c_observed))
+          let kills = Chaos.kills plan report in
+          (match
+             Contain.audit (Contain.analyze ms) ~kills report.Chaos.c_observed
+           with
+           | [] -> Ok ()
+           | (y, obs, _) :: _ ->
+             Error
+               (Printf.sprintf
+                  "observed %s on %s outside the static radius of kills \
+                   [%s] (seed %d)"
+                  (Contain.impact_to_string obs) y
+                  (String.concat ", " (List.sort_uniq compare kills))
+                  spec.ps_seed))))
 
 let check payload =
   match parse_payload payload with

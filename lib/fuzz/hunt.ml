@@ -129,36 +129,24 @@ let render_text report =
     (if ok report then "verdict: clean\n" else "verdict: failures found\n");
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let render_json report =
+  let module Json = Lt_obs.Json in
   let failure f =
-    Printf.sprintf
-      "{\"case\":%d,\"what\":\"%s\",\"payload\":\"%s\"}"
-      f.f_case (json_escape f.f_what) (json_escape f.f_repro.Repro.payload)
+    Json.Obj
+      [ ("case", Json.Int f.f_case); ("what", Json.Str f.f_what);
+        ("payload", Json.Str f.f_repro.Repro.payload) ]
   in
   let engine e =
-    Printf.sprintf
-      "{\"engine\":\"%s\",\"cases\":%d,\"shrink_steps\":%d,\"failures\":[%s]}"
-      (engine_name e.e_engine) e.e_cases e.e_shrink_steps
-      (String.concat "," (List.map failure e.e_failures))
+    Json.Obj
+      [ ("engine", Json.Str (engine_name e.e_engine)); ("cases", Json.Int e.e_cases);
+        ("shrink_steps", Json.Int e.e_shrink_steps);
+        ("failures", Json.List (List.map failure e.e_failures)) ]
   in
-  Printf.sprintf "{\"seed\":%Ld,\"clean\":%b,\"engines\":[%s]}\n" report.r_seed
-    (ok report)
-    (String.concat "," (List.map engine report.r_engines))
+  Json.to_string
+    (Json.Obj
+       [ ("seed", Json.Int (Int64.to_int report.r_seed)); ("clean", Json.Bool (ok report));
+         ("engines", Json.List (List.map engine report.r_engines)) ])
+  ^ "\n"
 
 let replay (repro : Repro.t) =
   match engine_of_name repro.Repro.engine with

@@ -234,22 +234,6 @@ let quantile_bounds t key q =
 
 (* --- rendering ---------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_text t =
   let buf = Buffer.create 512 in
   let cs = counters t in
@@ -271,22 +255,15 @@ let render_text t =
   end;
   Buffer.contents buf
 
+let summary_json s =
+  Json.Obj
+    [ ("count", Json.Int s.s_count); ("sum", Json.Int s.s_sum);
+      ("p50", Json.Int s.s_p50); ("p95", Json.Int s.s_p95);
+      ("p99", Json.Int s.s_p99); ("max", Json.Int s.s_max) ]
+
 let render_json t =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\"counters\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" (json_escape k) v))
-    (counters t);
-  Buffer.add_string buf "},\"histograms\":{";
-  List.iteri
-    (fun i (k, s) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\"%s\":{\"count\":%d,\"sum\":%d,\"p50\":%d,\"p95\":%d,\"p99\":%d,\"max\":%d}"
-           (json_escape k) s.s_count s.s_sum s.s_p50 s.s_p95 s.s_p99 s.s_max))
-    (summaries t);
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  Json.to_string
+    (Json.Obj
+       [ ("counters", Json.counts (counters t));
+         ( "histograms",
+           Json.Obj (List.map (fun (k, s) -> (k, summary_json s)) (summaries t)) ) ])

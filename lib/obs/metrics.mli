@@ -83,6 +83,6 @@ val render_text : t -> string
 val render_json : t -> string
 (** one JSON object: [{"counters":{...},"histograms":{...}}] *)
 
-(** [json_escape s] — minimal JSON string escaping, shared by the
-    observability exporters. *)
-val json_escape : string -> string
+(** [{"count":..,"sum":..,"p50":..,"p95":..,"p99":..,"max":..}] — one
+    histogram as it appears in {!render_json} and the driver reports. *)
+val summary_json : summary -> Json.t

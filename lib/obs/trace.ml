@@ -261,7 +261,7 @@ let by_start t =
       | c -> c)
     (spans t)
 
-let esc = Metrics.json_escape
+let esc = Json.escape
 
 let export_json t =
   let buf = Buffer.create 4096 in

@@ -60,13 +60,13 @@ type report = {
   c_secret_leak : bool;
   c_restarts : (string * int) list;  (** per component, components with > 0 *)
   c_given_up : string list;
-  c_observed : (string * string) list;
+  c_observed : (string * Lateral.Contain.impact) list;
       (** the dynamic blast radius: worst impact each component was
-          observed to suffer (["degraded"] — its requests failed on a
-          dead or breaker-shed slice, ["restarted"], ["failed"] — dead
-          or given up at end of run), sorted by name. The soundness
-          property holds this inside the {!Lateral.Contain} static
-          prediction for the killed components. *)
+          observed to suffer ([Degraded] — its requests failed on a
+          dead or breaker-shed slice, [Restarted], [Failed] — dead or
+          given up at end of run), sorted by name. The soundness
+          property ({!Lateral.Contain.audit}) holds this inside the
+          static prediction for the killed components. *)
   c_router_violations : int;
   c_counters : (string * int) list;
   c_span_ticks : int;
@@ -74,6 +74,11 @@ type report = {
 
 (** [contained r] — no unexcused failure, oracle intact, no leak. *)
 val contained : report -> bool
+
+(** [kills plan r] — every kill the run made under [plan], one entry
+    per kill, flap kills included: the [~kills] list
+    {!Lateral.Contain.audit} takes for this run. *)
+val kills : plan -> report -> string list
 
 (** A booted scenario with its world forked at the pristine instant:
     build once with {!session}, then every [run ?session] rewinds the

@@ -47,14 +47,6 @@ type config = {
 
 val default : config
 
-(** [shard_of_tenant ~shards i] — tenants are sharded round-robin:
-    [i mod shards]. *)
-val shard_of_tenant : shards:int -> int -> int
-
-(** [domain_of_tenant ~shards i] — the tenant's nested trust-domain
-    path, [["shard-k"; "tenant-i"]]. *)
-val domain_of_tenant : shards:int -> int -> string list
-
 type tenant_report = {
   tr_tenant : int;
   tr_shard : int;

@@ -331,7 +331,7 @@ let test_report_rendering () =
       ~component:{|we"ird|} ~service:"s" ~message:"line1\nline2\ttab"
       ~fix_hint:"do \"this\"" ()
   in
-  let json = Diagnostic.to_json d in
+  let json = Lt_obs.Json.to_string (Diagnostic.to_json d) in
   Alcotest.(check bool) "escapes quotes" true
     (string_contains ~inside:json {|"component":"we\"ird"|});
   Alcotest.(check bool) "escapes control characters" true

@@ -356,49 +356,18 @@ let prop_observed_inside_static =
       match Chaos.run ~plan ~scenario ~requests ~seed () with
       | Error e -> QCheck.Test.fail_reportf "plan rejected: %s" e
       | Ok (r, _) ->
-        let static = static_radii scenario in
-        let kill_count y =
-          List.length (List.filter (fun (_, n) -> n = y) r.Chaos.c_kills)
-          + (if r.Chaos.c_flap_kills > 0 && flap = Some y then
-               r.Chaos.c_flap_kills
-             else 0)
-        in
-        let killed =
-          List.sort_uniq compare
-            (List.filter
-               (fun n -> n <> "legacy_os")
-               (List.map snd r.Chaos.c_kills
-               @ (if r.Chaos.c_flap_kills > 0 then Option.to_list flap else [])))
-        in
-        let allowed y =
-          if kill_count y > 1 then 3
-          else
-            List.fold_left
-              (fun acc root ->
-                match
-                  List.find_opt
-                    (fun x -> x.Contain.r_root = root)
-                    static.Contain.radii
-                with
-                | None -> acc
-                | Some x ->
-                  (match List.assoc_opt y x.Contain.r_hit with
-                   | None -> acc
-                   | Some im -> max acc (Contain.rank im)))
-              0 killed
-        in
-        List.for_all
-          (fun (y, obs) ->
-            let rank =
-              match Contain.impact_of_string obs with
-              | Some i -> Contain.rank i
-              | None -> 99
-            in
-            rank <= allowed y
-            || QCheck.Test.fail_reportf
-                 "observed %s on %s, static allows rank %d (kills [%s])" obs y
-                 (allowed y) (String.concat ", " killed))
-          r.Chaos.c_observed)
+        let kills = Chaos.kills plan r in
+        (match
+           Contain.audit (static_radii scenario) ~kills r.Chaos.c_observed
+         with
+         | [] -> true
+         | (y, obs, allowed) :: _ ->
+           QCheck.Test.fail_reportf "observed %s on %s, static allows %s (kills [%s])"
+             (Contain.impact_to_string obs) y
+             (match allowed with
+              | None -> "untouched"
+              | Some a -> Contain.impact_to_string a)
+             (String.concat ", " kills)))
 
 (* the static prediction reasons over manifest channels; the harness
    accounts blast per route. The inclusion above is only meaningful if
