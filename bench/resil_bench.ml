@@ -35,9 +35,9 @@ let build_deployment () =
           ~connects_to:[ Manifest.conn ~vetted:true "enclave" "ecall" ]
           ~substrate:"microkernel" ~restart:lavish (),
         fun ctx ~service:_ job ->
-          match ctx.Deploy.call_out ~target:"enclave" ~service:"ecall" job with
+          match ctx.Deploy.call_out_typed ~target:"enclave" ~service:"ecall" job with
           | Ok r -> r
-          | Error e -> failwith e );
+          | Error e -> failwith (App.render_call_error e) );
       ( Manifest.v ~name:"enclave" ~provides:[ "ecall" ] ~substrate:"sgx"
           ~restart:lavish (),
         fun _ctx ~service:_ job ->

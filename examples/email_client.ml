@@ -147,16 +147,16 @@ let () =
           ~connects_to:[ Manifest.conn "mail-tls" "transmit" ]
           ~substrate:"microkernel" (),
         fun ctx ~service:_ req ->
-          match ctx.Deploy.call_out ~target:"mail-tls" ~service:"transmit" req with
+          match ctx.Deploy.call_out_typed ~target:"mail-tls" ~service:"transmit" req with
           | Ok r -> "inbox<- " ^ r
-          | Error e -> "ui error: " ^ e );
+          | Error e -> "ui error: " ^ App.render_call_error e );
       ( Manifest.v ~name:"mail-tls" ~provides:[ "transmit" ]
           ~connects_to:[ Manifest.conn "mail-keystore" "sign" ]
           ~substrate:"sgx" (),
         fun ctx ~service:_ req ->
-          match ctx.Deploy.call_out ~target:"mail-keystore" ~service:"sign" req with
+          match ctx.Deploy.call_out_typed ~target:"mail-keystore" ~service:"sign" req with
           | Ok s -> Printf.sprintf "%s [authenticated %s]" req s
-          | Error e -> "tls error: " ^ e );
+          | Error e -> "tls error: " ^ App.render_call_error e );
       ( Manifest.v ~name:"mail-keystore" ~provides:[ "sign" ] ~substrate:"sep" (),
         fun ctx ~service:_ req ->
           let key =

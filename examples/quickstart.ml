@@ -47,7 +47,7 @@ let demo name (substrate : Substrate.t) =
     let invoke fn arg =
       match substrate.Substrate.invoke vault ~fn arg with
       | Ok r -> r
-      | Error e -> "ERROR: " ^ e
+      | Error e -> "ERROR: " ^ Substrate.render_error e
     in
     Printf.printf "store:  %s\n" (invoke "store" "example.org hunter2");
     Printf.printf "check (right): %s\n" (invoke "check" "example.org hunter2");

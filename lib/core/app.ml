@@ -86,6 +86,8 @@ type call_error =
   | Crashed of { target : string; reason : string }
   | Failed of { target : string; reason : string }
 
+exception Call_failed of call_error
+
 (* renders exactly the strings [call] has always returned, so string
    consumers and goldens are unaffected by the typed layer underneath *)
 let render_call_error = function
@@ -99,6 +101,14 @@ let render_call_error = function
     Printf.sprintf "component %s crashed: %s" target reason
   | Failed { target; reason } ->
     Printf.sprintf "component %s failed: %s" target reason
+
+(* a dead dependency is blamed on the component that is actually down,
+   not on the callee that tripped over it *)
+let of_substrate_error ~target = function
+  | Substrate.Refused reason -> Failed { target; reason }
+  | Substrate.Dep_crashed { origin; reason } -> Crashed { target = origin; reason }
+  | (Substrate.Killed _ | Substrate.Fault _) as e ->
+    Crashed { target; reason = Substrate.render_error e }
 
 let rec call_typed t ~caller ~target ~service req =
   let caller_name = Option.value caller ~default:"<external>" in
@@ -138,14 +148,8 @@ let rec call_typed t ~caller ~target ~service req =
              ~attrs:(Lt_obs.Trace.attr "caller" caller_name)
              (fun () -> comp.behave ctx ~service req))
       with
-      | Substrate.Service_failure reason ->
-        Error (Failed { target; reason })
-      | Substrate.Dependency_crashed { origin; reason } ->
-        (* blame the component that is actually down, not the callee
-           that tripped over it *)
-        Error (Crashed { target = origin; reason })
-      | exn ->
-        Error (Crashed { target; reason = Printexc.to_string exn })
+      | Call_failed e -> Error e
+      | exn -> Error (of_substrate_error ~target (Substrate.error_of_exn exn))
     end
 
 and call t ~caller ~target ~service req =

@@ -60,6 +60,19 @@ type call_error =
           ({!Substrate.Service_failure}): it is healthy, the request is
           not. Never retried, never restarted. *)
 
+(** A behaviour raises [Call_failed e] to end its call with the
+    classification [e] as is: how {!Deploy} reports a substrate hop's
+    typed error. *)
+exception Call_failed of call_error
+
+(** [of_substrate_error ~target e] — how a substrate hop's typed error
+    classifies a call to [target]: [Refused] is [Failed],
+    [Dep_crashed] is [Crashed] at its [origin], [Killed] and [Fault] are
+    [Crashed] of [target] with {!Substrate.render_error} as the
+    reason. A behaviour's exception is classified the same way through
+    {!Substrate.error_of_exn}. *)
+val of_substrate_error : target:string -> Substrate.error -> call_error
+
 (** The exact strings {!call} has always returned for each case. *)
 val render_call_error : call_error -> string
 

@@ -1,6 +1,5 @@
 type ctx = {
   facilities : Substrate.facilities;
-  call_out : target:string -> service:string -> string -> (string, string) result;
   call_out_typed :
     target:string -> service:string -> string -> (string, App.call_error) result;
 }
@@ -40,16 +39,10 @@ let bridge sub comp _ctx ~service req =
   match sub.Substrate.invoke comp ~fn:service req with
   | Ok r -> r
   | Error e ->
-    Lt_obs.Trace.fail_span e;
-    (* a Service_failure or Dependency_crashed stringified by the
-       substrate hop comes back typed, so the router reports [Failed] /
-       [Crashed]-at-the-true-origin, not a crash of this component *)
-    (match Substrate.as_failure e with
-     | Some m -> raise (Substrate.Service_failure m)
-     | None ->
-       (match Substrate.as_dep_crashed e with
-        | Some (origin, reason) -> Substrate.dep_crashed ~origin reason
-        | None -> failwith e))
+    Lt_obs.Trace.fail_span (Substrate.render_error e);
+    raise
+      (App.Call_failed
+         (App.of_substrate_error ~target:(Substrate.component_name comp) e))
 
 let services_for ~self ~name ~behaviour provides =
   let service_for svc =
@@ -67,12 +60,7 @@ let services_for ~self ~name ~behaviour provides =
             Error (App.Failed { target; reason = "router not ready" })
           | Some t -> App.call_typed t.app ~caller:(Some name) ~target ~service r
         in
-        let call_out ~target ~service r =
-          match !self with
-          | None -> Error "router not ready"
-          | Some t -> App.call t.app ~caller:(Some name) ~target ~service r
-        in
-        behaviour { facilities; call_out; call_out_typed } ~service:svc req )
+        behaviour { facilities; call_out_typed } ~service:svc req )
   in
   List.map service_for provides
 
@@ -192,13 +180,8 @@ let attest t ~component ~nonce ~claim =
 
 (* --- the zero-alloc fast path ----------------------------------------- *)
 
-exception Call_failed of App.call_error
-
 let ctx_for t name facilities =
   { facilities;
-    call_out =
-      (fun ~target ~service r ->
-        App.call t.app ~caller:(Some name) ~target ~service r);
     call_out_typed =
       (fun ~target ~service r ->
         App.call_typed t.app ~caller:(Some name) ~target ~service r) }
@@ -246,7 +229,7 @@ let call_slow t route req =
          route.r_ctx <- Some (ctx_for t route.r_target facilities)
        | None -> ());
     r
-  | Error e -> raise (Call_failed e)
+  | Error e -> raise (App.Call_failed e)
 
 (* Fast when nothing that needs the full pipeline can happen: a primed
    ctx, tracing off, target not compromised, instance alive.  Then the

@@ -12,13 +12,12 @@
 type ctx = {
   facilities : Substrate.facilities;
       (** seal/store on the component's own substrate *)
-  call_out : target:string -> service:string -> string -> (string, string) result;
-      (** routed, manifest-checked outbound call *)
   call_out_typed :
     target:string -> service:string -> string -> (string, App.call_error) result;
-      (** same call, failure keeps its class — so a behaviour can cascade
-          a dead dependency as a fault and a refusal as its own
-          {!Substrate.fail} *)
+      (** routed, manifest-checked outbound call; the failure keeps its
+          class, so a behaviour can cascade a dead dependency as a fault
+          and a refusal as its own {!Substrate.fail}
+          ({!App.render_call_error} gives the text) *)
 }
 
 type behaviour = ctx -> service:string -> string -> string
@@ -107,10 +106,8 @@ val resolve :
   t -> caller:string option -> target:string -> service:string ->
   route option
 
-exception Call_failed of App.call_error
-
 (** [call_fast t route req] — the behaviour's answer. Falls back to the
-    full pipeline (and raises {!Call_failed} on a typed failure) when
+    full pipeline (and raises {!App.Call_failed} on a typed failure) when
     tracing is on, the target is compromised or dead, or the route has
     not yet seen a successful slow call (the first call through a route
     always takes the slow path to capture the target's facilities).

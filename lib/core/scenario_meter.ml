@@ -236,7 +236,7 @@ let run ?(seed = 1L) tamper =
           Ok (fake, Attestation.to_wire forged)
         | _ ->
           (match tz_sub.Substrate.invoke meter_comp ~fn:"read" "" with
-           | Error e -> Error ("meter read: " ^ e)
+           | Error e -> Error ("meter read: " ^ Substrate.render_error e)
            | Ok reading ->
              (match
                 tz_sub.Substrate.attest meter_comp ~nonce:srv_nonce
@@ -278,7 +278,8 @@ let run ?(seed = 1L) tamper =
                    else begin
                      match sgx_sub.Substrate.invoke anonymizer ~fn:"ingest" r with
                      | Ok _ -> (true, "billed")
-                     | Error e -> (false, "anonymizer failed: " ^ e)
+                     | Error e ->
+                       (false, "anonymizer failed: " ^ Substrate.render_error e)
                    end))
            | _ -> (false, "utility: unexpected message"))
         | None -> (false, "utility: no message received")

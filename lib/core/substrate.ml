@@ -1,3 +1,5 @@
+module Wire = Lt_crypto.Wire
+
 type attacker_model =
   | Remote_software
   | Local_software
@@ -28,12 +30,18 @@ type service = facilities -> string -> string
    ever reads back what it put in *)
 type component = { c_name : string; c_measurement : string; c_state : exn }
 
+type error =
+  | Killed of string
+  | Refused of string
+  | Dep_crashed of { origin : string; reason : string }
+  | Fault of string
+
 type t = {
   properties : properties;
   launch :
     name:string -> code:string -> services:(string * service) list ->
     (component, string) result;
-  invoke : component -> fn:string -> string -> (string, string) result;
+  invoke : component -> fn:string -> string -> (string, error) result;
   attest :
     component -> nonce:string -> claim:string ->
     (Attestation.evidence, string) result;
@@ -56,59 +64,65 @@ let component_measurement c = c.c_measurement
 
 let component_state c = c.c_state
 
-let crashed_error name = Printf.sprintf "component %s crashed (killed)" name
-
 exception Service_failure of string
 
-let failure_prefix = "service failure: "
-
-let failure_error m = failure_prefix ^ m
-
-(* every substrate sim that turns a service exception into a string does
-   so via [Printexc.to_string]; registering a printer keeps the failure
-   recognizable across that hop so routers can recover the class *)
-let () =
-  Printexc.register_printer (function
-    | Service_failure m -> Some (failure_error m)
-    | _ -> None)
-
 let fail m = raise (Service_failure m)
-
-let as_failure e =
-  let n = String.length failure_prefix in
-  if String.length e >= n && String.sub e 0 n = failure_prefix then
-    Some (String.sub e n (String.length e - n))
-  else None
 
 (* a behaviour found a dependency dead mid-request; carries the true
    origin so routers blame the crashed component, not the caller that
    tripped over it *)
 exception Dependency_crashed of { origin : string; reason : string }
 
-let dep_crashed_prefix = "dependency crashed: "
-
-let dep_crashed_error ~origin reason =
-  Printf.sprintf "%s%s: %s" dep_crashed_prefix origin reason
-
-let () =
-  Printexc.register_printer (function
-    | Dependency_crashed { origin; reason } ->
-      Some (dep_crashed_error ~origin reason)
-    | _ -> None)
-
 let dep_crashed ~origin reason = raise (Dependency_crashed { origin; reason })
 
-let as_dep_crashed e =
-  let n = String.length dep_crashed_prefix in
-  if String.length e >= n && String.sub e 0 n = dep_crashed_prefix then
-    let rest = String.sub e n (String.length e - n) in
-    match String.index_opt rest ':' with
-    | Some i when i > 0 && i + 2 <= String.length rest ->
-      Some
-        ( String.sub rest 0 i,
-          String.sub rest (i + 2) (String.length rest - i - 2) )
-    | _ -> Some (rest, "")
-  else None
+let error_of_exn = function
+  | Service_failure m -> Refused m
+  | Dependency_crashed { origin; reason } -> Dep_crashed { origin; reason }
+  | exn -> Fault (Printexc.to_string exn)
+
+let render_error = function
+  | Killed name -> Printf.sprintf "component %s crashed (killed)" name
+  | Refused m -> "service failure: " ^ m
+  | Dep_crashed { origin; reason } ->
+    Printf.sprintf "dependency crashed: %s: %s" origin reason
+  | Fault m -> m
+
+let mark_span r =
+  (match r with
+   | Error e -> Lt_obs.Trace.fail_span (render_error e)
+   | Ok _ -> ());
+  r
+
+(* the reply codec: a tag field, then the payload fields of its case *)
+let encode_error = function
+  | Killed name -> Wire.encode [ "killed"; name ]
+  | Refused m -> Wire.encode [ "refused"; m ]
+  | Dep_crashed { origin; reason } -> Wire.encode [ "dep-crashed"; origin; reason ]
+  | Fault m -> Wire.encode [ "fault"; m ]
+
+let reply bytes =
+  match Wire.decode bytes with
+  | Some [ "ok"; out ] -> Ok out
+  | Some [ "killed"; name ] -> Error (Killed name)
+  | Some [ "refused"; m ] -> Error (Refused m)
+  | Some [ "dep-crashed"; origin; reason ] -> Error (Dep_crashed { origin; reason })
+  | Some [ "fault"; m ] -> Error (Fault m)
+  | _ -> Error (Fault "malformed reply")
+
+let request ~fn arg = Wire.encode [ fn; arg ]
+
+let answer service facilities arg =
+  match service facilities arg with
+  | out -> Wire.encode [ "ok"; out ]
+  | exception exn -> encode_error (error_of_exn exn)
+
+let serve services facilities bytes =
+  match Wire.decode bytes with
+  | Some [ fn; arg ] ->
+    (match List.assoc_opt fn services with
+     | Some service -> answer service facilities arg
+     | None -> encode_error (Fault (Printf.sprintf "no entry point %S" fn)))
+  | _ -> encode_error (Fault "malformed request")
 
 let lifecycle ?dead ?(teardown = fun _ -> ()) () =
   let dead : (string, unit) Hashtbl.t =

@@ -7,7 +7,7 @@
     A {!t} is one isolation substrate instance. Trusted components are
     written once against {!facilities} and [launch]ed on any substrate;
     the conformance suite in the tests runs the same component across
-    all five adapters. [properties] describes the design trade-offs
+    all seven adapters. [properties] describes the design trade-offs
     (§II-C) so system architects can hand-pick a mechanism by attacker
     model instead of by fashion. *)
 
@@ -52,6 +52,23 @@ type service = facilities -> string -> string
 (** A launched trusted component. *)
 type component
 
+(** Why an invocation produced no answer: the interface's closed error
+    vocabulary, the same on every adapter. *)
+type error =
+  | Killed of string
+      (** the named component was {!field-crash}ed and not yet
+          re-[launch]ed *)
+  | Refused of string
+      (** the service declined on purpose ({!Service_failure}); the
+          component is healthy *)
+  | Dep_crashed of { origin : string; reason : string }
+      (** the service found its dependency [origin] dead mid-request
+          ({!Dependency_crashed}) *)
+  | Fault of string
+      (** the substrate could not deliver: no entry point, malformed
+          reply, component destroyed or silent, or an unexpected
+          exception in the service code *)
+
 type t = {
   properties : properties;
   launch :
@@ -61,7 +78,7 @@ type t = {
           Re-launching a crashed component's name revives it: the dead
           mark is cleared and a fresh instance (empty volatile state,
           same sealed identity) answers subsequent invokes. *)
-  invoke : component -> fn:string -> string -> (string, string) result;
+  invoke : component -> fn:string -> string -> (string, error) result;
   attest :
     component -> nonce:string -> claim:string ->
     (Attestation.evidence, string) result;
@@ -71,7 +88,7 @@ type t = {
   crash : component -> unit;
       (** kill the component where it stands (crash-only discipline:
           volatile state is lost, sealed state survives). Subsequent
-          {!field-invoke}s fail with {!crashed_error} until the name is
+          {!field-invoke}s fail with {!Killed} until the name is
           re-[launch]ed. Idempotent. *)
   is_alive : component -> bool;
   mutable snap_layers : Lt_world.Snapshottable.layer list;
@@ -91,10 +108,6 @@ val component_measurement : component -> string
 
 val component_state : component -> exn
 
-(** [crashed_error name] — the uniform error every adapter returns when
-    a dead component is invoked, so routers can classify it. *)
-val crashed_error : string -> string
-
 (** A service declining a request on purpose — bad argument, downstream
     dependency unavailable, policy of its own. Distinct from a crash:
     the component is healthy, a supervisor must not restart it and a
@@ -104,16 +117,6 @@ exception Service_failure of string
 
 (** [fail msg] aborts the current request with {!Service_failure}. *)
 val fail : string -> 'a
-
-(** [failure_error msg] — the wire encoding of a {!Service_failure} that
-    crossed a substrate hop as a string ("service failure: " ^ msg).
-    Adapters and sims produce it automatically via [Printexc.to_string]
-    (a printer is registered). *)
-val failure_error : string -> string
-
-(** [as_failure e] recovers the message from a {!failure_error} string,
-    [None] for any other error. *)
-val as_failure : string -> string option
 
 (** A behaviour found one of its {e dependencies} dead mid-request.
     Distinct from {!Service_failure} (the callee declined on purpose)
@@ -128,15 +131,45 @@ exception Dependency_crashed of { origin : string; reason : string }
     {!Dependency_crashed}. *)
 val dep_crashed : origin:string -> string -> 'a
 
-(** The wire encoding of a {!Dependency_crashed} that crossed a
-    substrate hop as a string ("dependency crashed: ORIGIN: reason");
-    produced automatically via [Printexc.to_string] (a printer is
-    registered). *)
-val dep_crashed_error : origin:string -> string -> string
+(** [error_of_exn exn] classifies what a service raised:
+    {!Service_failure} is [Refused], {!Dependency_crashed} is
+    [Dep_crashed], anything else a [Fault] carrying
+    [Printexc.to_string exn]. *)
+val error_of_exn : exn -> error
 
-(** [as_dep_crashed e] recovers [(origin, reason)] from a
-    {!dep_crashed_error} string, [None] for any other error. *)
-val as_dep_crashed : string -> (string * string) option
+(** [render_error e] — the status text traces and reports show:
+    "component NAME crashed (killed)", "service failure: MSG",
+    "dependency crashed: ORIGIN: REASON", or the fault message. *)
+val render_error : error -> string
+
+(** [mark_span r] marks the innermost open trace span failed with
+    {!render_error} when [r] is an error, and returns [r]. *)
+val mark_span : (string, error) result -> (string, error) result
+
+(** {2 The reply codec}
+
+    One wire format for every hop that moves bytes (IPC, mailbox, SMC,
+    PAL session, DTU message, ecall): the caller sends {!request}, the
+    callee answers with {!serve} (or {!answer}), the caller reads the
+    reply back with {!reply}. An error crosses the hop as its variant,
+    never as a string to be parsed. *)
+
+(** [request ~fn arg] — the bytes {!serve} dispatches. *)
+val request : fn:string -> string -> string
+
+(** [answer service facilities arg] runs one entry point and encodes
+    its result, or the {!error_of_exn} of what it raised, as reply
+    bytes. *)
+val answer : service -> facilities -> string -> string
+
+(** [serve services facilities bytes] decodes a {!request}, runs the
+    named entry point through {!answer} and returns the reply bytes;
+    an unknown entry point or malformed request is a [Fault] reply. *)
+val serve : (string * service) list -> facilities -> string -> string
+
+(** [reply bytes] decodes what {!answer} encoded; anything else is
+    [Fault "malformed reply"]. *)
+val reply : string -> (string, error) result
 
 (** [lifecycle ?dead ?teardown ()] — the shared crash bookkeeping for
     adapter authors: returns [(crash, is_alive, revive)] closures over a

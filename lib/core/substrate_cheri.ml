@@ -88,16 +88,17 @@ let make rng ~size () =
     | _ -> invalid_arg "substrate_cheri: foreign component"
   in
   let invoke c ~fn arg =
-    if not (is_alive c) then
-      Error (Substrate.crashed_error (Substrate.component_name c))
+    if not (is_alive c) then Error (Substrate.Killed (Substrate.component_name c))
     else
     let s = state_of c in
     match List.assoc_opt fn s.services with
-    | None -> Error (Printf.sprintf "no entry point %S" fn)
+    | None -> Error (Substrate.Fault (Printf.sprintf "no entry point %S" fn))
     | Some service ->
-      (try Ok (service s.facilities arg) with
-       | Cheri.Capability_fault m -> Error ("capability fault: " ^ m)
-       | exn -> Error (Printexc.to_string exn))
+      (match service s.facilities arg with
+       | out -> Ok out
+       | exception Cheri.Capability_fault m ->
+         Error (Substrate.Fault ("capability fault: " ^ m))
+       | exception exn -> Error (Substrate.error_of_exn exn))
   in
   let attest _c ~nonce ~claim =
     ignore nonce;

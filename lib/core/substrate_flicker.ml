@@ -73,14 +73,7 @@ let make tpm ?clock () =
             save_table table);
         f_load = (fun ~key -> Hashtbl.find_opt (load_table ()) key) }
     in
-    let handler input =
-      match Wire.decode input with
-      | Some [ fn; arg ] ->
-        (match List.assoc_opt fn services with
-         | Some service -> Wire.encode [ "ok"; service facilities arg ]
-         | None -> Wire.encode [ "err"; Printf.sprintf "no entry point %S" fn ])
-      | _ -> Wire.encode [ "err"; "malformed input" ]
-    in
+    let handler = Substrate.serve services facilities in
     (* the PAL's measured identity is its code alone (pal_name is fixed),
        so the verifier-side [measure] can predict it from code *)
     ignore name;
@@ -98,18 +91,13 @@ let make tpm ?clock () =
     | _ -> invalid_arg "substrate_flicker: foreign component"
   in
   let invoke c ~fn arg =
-    if not (is_alive c) then
-      Error (Substrate.crashed_error (Substrate.component_name c))
+    if not (is_alive c) then Error (Substrate.Killed (Substrate.component_name c))
     else
-    let s = pal_of c in
-    let r =
-      Latelaunch.execute ?clock tpm s.pal ~nonce:"session"
-        ~input:(Wire.encode [ fn; arg ])
-    in
-    match Wire.decode r.Latelaunch.output with
-    | Some [ "ok"; out ] -> Ok out
-    | Some [ "err"; e ] -> Error e
-    | _ -> Error "malformed PAL output"
+      let r =
+        Latelaunch.execute ?clock tpm (pal_of c).pal ~nonce:"session"
+          ~input:(Substrate.request ~fn arg)
+      in
+      Substrate.reply r.Latelaunch.output
   in
   let attest c ~nonce ~claim =
     let s = pal_of c in

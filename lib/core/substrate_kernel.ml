@@ -114,16 +114,7 @@ let make machine policy ?tpm ?(boot_pcr = 10) ?(rng = Drbg.create 0x6b65726eL) (
     let server () =
       let rec loop () =
         let _badge, m, reply = User.recv ~cap:recv_cap in
-        let response =
-          match Wire.decode m.Sys.payload with
-          | Some [ fn; arg ] ->
-            (match List.assoc_opt fn services with
-             | Some service ->
-               (try Wire.encode [ "ok"; service facilities arg ]
-                with exn -> Wire.encode [ "err"; Printexc.to_string exn ])
-             | None -> Wire.encode [ "err"; Printf.sprintf "no entry point %S" fn ])
-          | _ -> Wire.encode [ "err"; "malformed request" ]
-        in
+        let response = Substrate.serve services facilities m.Sys.payload in
         (match reply with
          | Some handle -> User.reply handle (Sys.msg response)
          | None -> ());
@@ -144,9 +135,9 @@ let make machine policy ?tpm ?(boot_pcr = 10) ?(rng = Drbg.create 0x6b65726eL) (
   let invoke c ~fn arg =
     let s = state_of c in
     if not (is_alive_mark c) then
-      Error (Substrate.crashed_error (Substrate.component_name c))
+      Error (Substrate.Killed (Substrate.component_name c))
     else if not (Kernel.thread_alive k s.server_tid) then
-      Error "component destroyed"
+      Error (Substrate.Fault "component destroyed")
     else
       Lt_obs.Trace.with_span ~kind:"ipc-rpc"
         ~name:(Lt_obs.Trace.span_name (Substrate.component_name c) fn)
@@ -162,15 +153,11 @@ let make machine policy ?tpm ?(boot_pcr = 10) ?(rng = Drbg.create 0x6b65726eL) (
         Kernel.grant k client_task s.endpoint
           ~rights:{ send = true; recv = false } ~badge:!invoke_counter
       in
-      let result = ref (Error "component did not reply") in
+      let result = ref (Error (Substrate.Fault "component did not reply")) in
       let _ =
         Kernel.create_thread k client_task ~name:"call" ~prio:5 (fun () ->
-            let r = User.call ~cap:send_cap (Sys.msg (Wire.encode [ fn; arg ])) in
-            result :=
-              (match Wire.decode r.Sys.payload with
-               | Some [ "ok"; out ] -> Ok out
-               | Some [ "err"; e ] -> Error e
-               | _ -> Error "malformed reply"))
+            let r = User.call ~cap:send_cap (Sys.msg (Substrate.request ~fn arg)) in
+            result := Substrate.reply r.Sys.payload)
       in
       (* seeded chaos point: the kernel kills the server task after the
          client has committed to the send — a death mid-IPC, observed by
@@ -182,10 +169,7 @@ let make machine policy ?tpm ?(boot_pcr = 10) ?(rng = Drbg.create 0x6b65726eL) (
           ()
       end;
       ignore (Kernel.run k);
-      (match !result with
-       | Error e -> Lt_obs.Trace.fail_span e
-       | Ok _ -> ());
-      !result)
+      Substrate.mark_span !result)
   in
   let attest c ~nonce ~claim =
     match tpm with

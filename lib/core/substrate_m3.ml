@@ -67,15 +67,7 @@ let make rng ~ca_name ~ca_key ~tiles () =
               mirror ());
           f_load = (fun ~key -> Hashtbl.find_opt table key) }
       in
-      let program request =
-        match Wire.decode request with
-        | Some [ fn; arg ] ->
-          (match List.assoc_opt fn services with
-           | Some service -> Wire.encode [ "ok"; service facilities arg ]
-           | None -> Wire.encode [ "err"; Printf.sprintf "no entry point %S" fn ])
-        | _ -> Wire.encode [ "err"; "malformed request" ]
-      in
-      Noc.install_program chip ~tile ~code program;
+      Noc.install_program chip ~tile ~code (Substrate.serve services facilities);
       (* the kernel wires the channels: the tile accepts messages and the
          kernel tile gets a send endpoint towards it *)
       Noc.configure chip ~by:Noc.kernel_tile ~tile ~ep:0 Noc.Receive;
@@ -90,17 +82,14 @@ let make rng ~ca_name ~ca_key ~tiles () =
     | _ -> invalid_arg "substrate_m3: foreign component"
   in
   let invoke c ~fn arg =
-    if not (is_alive c) then
-      Error (Substrate.crashed_error (Substrate.component_name c))
+    if not (is_alive c) then Error (Substrate.Killed (Substrate.component_name c))
     else
-    let tile = tile_of c in
-    match Noc.send chip ~from_tile:Noc.kernel_tile ~ep:tile (Wire.encode [ fn; arg ]) with
-    | Error e -> Error e
-    | Ok reply ->
-      (match Wire.decode reply with
-       | Some [ "ok"; out ] -> Ok out
-       | Some [ "err"; e ] -> Error e
-       | _ -> Error "malformed tile reply")
+      match
+        Noc.send chip ~from_tile:Noc.kernel_tile ~ep:(tile_of c)
+          (Substrate.request ~fn arg)
+      with
+      | Error e -> Error (Substrate.Fault e)
+      | Ok reply -> Substrate.reply reply
   in
   let attest c ~nonce ~claim =
     let tile = tile_of c in

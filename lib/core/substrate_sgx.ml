@@ -73,7 +73,7 @@ let make machine rng ~ca_name ~ca_key ?(epc_pages = 2) () =
     let ecalls =
       List.map
         (fun (fn, service) ->
-          (fn, fun ctx arg -> service (facilities_of name ctx) arg))
+          (fn, fun ctx arg -> Substrate.answer service (facilities_of name ctx) arg))
         services
     in
     try
@@ -86,27 +86,23 @@ let make machine rng ~ca_name ~ca_key ?(epc_pages = 2) () =
   in
   let span_attrs = [ ("substrate", "sgx") ] in
   let invoke c ~fn arg =
-    if not (is_alive c) then
-      Error (Substrate.crashed_error (Substrate.component_name c))
+    if not (is_alive c) then Error (Substrate.Killed (Substrate.component_name c))
     else
       Lt_obs.Trace.with_span ~kind:"ecall"
         ~name:(Lt_obs.Trace.span_name (Substrate.component_name c) fn)
         ~attrs:span_attrs
         (fun () ->
-          if Fault_point.fires "sgx/kill-mid-ecall" then begin
-            (* the untrusted host pulls the enclave out from under the
-               in-flight ecall (SGX guarantees no progress, §II-C) *)
-            crash c;
-            let e = Substrate.crashed_error (Substrate.component_name c) in
-            Lt_obs.Trace.fail_span e;
-            Error e
-          end
-          else
-            match Sgx.ecall cpu (enclave_of c) ~fn arg with
-            | Ok _ as r -> r
-            | Error e as r ->
-              Lt_obs.Trace.fail_span e;
-              r)
+          Substrate.mark_span
+            (if Fault_point.fires "sgx/kill-mid-ecall" then begin
+               (* the untrusted host pulls the enclave out from under the
+                  in-flight ecall (SGX guarantees no progress, §II-C) *)
+               crash c;
+               Error (Substrate.Killed (Substrate.component_name c))
+             end
+             else
+               match Sgx.ecall cpu (enclave_of c) ~fn arg with
+               | Ok reply -> Substrate.reply reply
+               | Error e -> Error (Substrate.Fault e)))
   in
   let attest c ~nonce ~claim =
     let e = enclave_of c in

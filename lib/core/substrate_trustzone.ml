@@ -49,13 +49,7 @@ let make machine ~vendor ~image ~device_id ~device_key_name ~secure_pages =
          service per component dispatches its entry points, so all entry
          points share the component's store namespace. *)
       Trustzone.register_service tz ~name (fun ctx arg ->
-          match Wire.decode arg with
-          | Some [ fn; req ] ->
-            (match List.assoc_opt fn services with
-             | Some service ->
-               Wire.encode [ "ok"; service (facilities ctx ~comp:name) req ]
-             | None -> Wire.encode [ "err"; Printf.sprintf "no entry point %S" fn ])
-          | _ -> Wire.encode [ "err"; "malformed request" ]);
+          Substrate.serve services (facilities ctx ~comp:name) arg);
       Ok
         (Substrate.make_component ~name ~measurement:world_measurement
            ~state:(Svc_state name))
@@ -67,26 +61,16 @@ let make machine ~vendor ~image ~device_id ~device_key_name ~secure_pages =
     in
     let span_attrs = [ ("substrate", "trustzone") ] in
     let invoke c ~fn arg =
-      if not (is_alive c) then
-        Error (Substrate.crashed_error (Substrate.component_name c))
+      if not (is_alive c) then Error (Substrate.Killed (Substrate.component_name c))
       else
       Lt_obs.Trace.with_span ~kind:"smc"
         ~name:(Lt_obs.Trace.span_name (Substrate.component_name c) fn)
         ~attrs:span_attrs
         (fun () ->
-          match Trustzone.smc tz ~service:(svc_of c) (Wire.encode [ fn; arg ]) with
-          | Error e ->
-            Lt_obs.Trace.fail_span e;
-            Error e
-          | Ok reply ->
-            (match Wire.decode reply with
-             | Some [ "ok"; out ] -> Ok out
-             | Some [ "err"; e ] ->
-               Lt_obs.Trace.fail_span e;
-               Error e
-             | _ ->
-               Lt_obs.Trace.fail_span "malformed secure-world reply";
-               Error "malformed secure-world reply"))
+          Substrate.mark_span
+            (match Trustzone.smc tz ~service:(svc_of c) (Substrate.request ~fn arg) with
+             | Error e -> Error (Substrate.Fault e)
+             | Ok reply -> Substrate.reply reply))
     in
     let attest c ~nonce ~claim =
       ignore c;

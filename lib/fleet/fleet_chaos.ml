@@ -73,9 +73,9 @@ let scenario_components () =
       ~provides:[ "log" ] ~restart:(restart_budget 3) ()
   in
   let gate_b ctx ~service:_ req =
-    match ctx.Deploy.call_out ~target:"worker" ~service:"exec" req with
+    match ctx.Deploy.call_out_typed ~target:"worker" ~service:"exec" req with
     | Ok r -> "gated:" ^ r
-    | Error e -> Substrate.fail ("worker unavailable: " ^ e)
+    | Error e -> Substrate.fail ("worker unavailable: " ^ App.render_call_error e)
   in
   let worker_b _ctx ~service:_ req = "exec(" ^ req ^ ")" in
   let vault_b ctx ~service:_ req =

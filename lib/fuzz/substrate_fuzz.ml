@@ -313,13 +313,13 @@ let run_ops ops =
                     if got <> expected then
                       fail "op %d (%s): %s disagrees with the model: expected %s, got %s"
                         opi (render_op op) sname (pp_obs expected) (pp_obs got);
-                    (* a typed refusal must never surface as a wrapped
-                       exception: the Service_failure channel carries the
-                       reason verbatim through every substrate hop *)
+                    (* a refusal or a crash must never surface as a
+                       wrapped exception: the substrate error variant
+                       carries the reason verbatim through every hop *)
                     (match result with
-                     | Error (App.Failed { reason; _ })
+                     | Error (App.Failed { reason; _ } | App.Crashed { reason; _ })
                        when contains_sub ~needle:"Failure(" reason ->
-                       fail "op %d (%s): %s leaked an exception into a refusal: %s"
+                       fail "op %d (%s): %s leaked an exception into its error: %s"
                          opi (render_op op) sname reason
                      | _ -> ()))
               deployments)

@@ -106,9 +106,11 @@ let test_substrate_adapter () =
   | Error e -> Alcotest.fail e
   | Ok c ->
     Alcotest.(check (result string string)) "put" (Ok "ok")
-      (t.Lateral.Substrate.invoke c ~fn:"put" "v");
+      (Result.map_error Lateral.Substrate.render_error
+         (t.Lateral.Substrate.invoke c ~fn:"put" "v"));
     Alcotest.(check (result string string)) "get" (Ok "v")
-      (t.Lateral.Substrate.invoke c ~fn:"get" "");
+      (Result.map_error Lateral.Substrate.render_error
+         (t.Lateral.Substrate.invoke c ~fn:"get" ""));
     (match t.Lateral.Substrate.attest c ~nonce:"n" ~claim:"c" with
      | Error _ -> ()
      | Ok _ -> Alcotest.fail "capability machine should not attest")

@@ -6,6 +6,10 @@ open Lateral
 
 let code = "trusted-component-v1"
 
+(* an invoke result; a failing check prints the error as traces show it *)
+let invoked =
+  Alcotest.(result string (of_pp (Fmt.of_to_string Substrate.render_error)))
+
 (* a write-once component used across all substrates *)
 let services =
   [ ("echo", fun _fac req -> "echo:" ^ req);
@@ -16,7 +20,9 @@ let services =
     ("seal", fun fac req -> fac.Substrate.f_seal req);
     ("unseal",
      fun fac req ->
-       match fac.Substrate.f_unseal req with Some v -> v | None -> "DENIED") ]
+       match fac.Substrate.f_unseal req with Some v -> v | None -> "DENIED");
+    ("refuse", fun _fac req -> Substrate.fail req);
+    ("trip", fun _fac req -> Substrate.dep_crashed ~origin:req "down") ]
 
 type setup = {
   substrate : Substrate.t;
@@ -135,23 +141,30 @@ let conformance setup () =
   let { substrate = t; policy; attest_works } = setup () in
   let c = launch_ok t ~name:"conformance" in
   (* invoke *)
-  Alcotest.(check (result string string)) "echo" (Ok "echo:hi")
+  Alcotest.check invoked "echo" (Ok "echo:hi")
     (t.Substrate.invoke c ~fn:"echo" "hi");
   (match t.Substrate.invoke c ~fn:"missing" "x" with
-   | Error _ -> ()
+   | Error (Substrate.Fault _) -> ()
+   | Error e -> Alcotest.fail ("unknown entry point: " ^ Substrate.render_error e)
    | Ok _ -> Alcotest.fail "unknown entry point accepted");
+  (* the error vocabulary crosses every adapter's hop as the same value *)
+  Alcotest.check invoked "refusal" (Error (Substrate.Refused "no"))
+    (t.Substrate.invoke c ~fn:"refuse" "no");
+  Alcotest.check invoked "dead dependency"
+    (Error (Substrate.Dep_crashed { origin = "db"; reason = "down" }))
+    (t.Substrate.invoke c ~fn:"trip" "db");
   (* protected store persists across invocations *)
-  Alcotest.(check (result string string)) "put" (Ok "stored")
+  Alcotest.check invoked "put" (Ok "stored")
     (t.Substrate.invoke c ~fn:"put" "component-state");
-  Alcotest.(check (result string string)) "get" (Ok "component-state")
+  Alcotest.check invoked "get" (Ok "component-state")
     (t.Substrate.invoke c ~fn:"get" "");
   (* sealing roundtrip *)
   (match t.Substrate.invoke c ~fn:"seal" "sealed-payload" with
-   | Error e -> Alcotest.fail ("seal failed: " ^ e)
+   | Error e -> Alcotest.fail ("seal failed: " ^ Substrate.render_error e)
    | Ok blob ->
-     Alcotest.(check (result string string)) "unseal" (Ok "sealed-payload")
+     Alcotest.check invoked "unseal" (Ok "sealed-payload")
        (t.Substrate.invoke c ~fn:"unseal" blob);
-     Alcotest.(check (result string string)) "garbage unseal denied" (Ok "DENIED")
+     Alcotest.check invoked "garbage unseal denied" (Ok "DENIED")
        (t.Substrate.invoke c ~fn:"unseal" "not-a-sealed-blob"));
   (* measurement prediction *)
   Alcotest.(check string) "measure predicts identity"
@@ -159,7 +172,7 @@ let conformance setup () =
     (Sha256.hex (Substrate.component_measurement c));
   (* component store isolation *)
   let c2 = launch_ok t ~name:"other" in
-  Alcotest.(check (result string string)) "store namespaced per component"
+  Alcotest.check invoked "store namespaced per component"
     (Ok "EMPTY")
     (t.Substrate.invoke c2 ~fn:"get" "");
   (* attestation *)
@@ -193,6 +206,9 @@ let conformance setup () =
          | Ok () -> ()
          | Error _ -> Alcotest.fail "wire roundtrip broke evidence")
       | None -> Alcotest.fail "evidence wire decode failed"));
+  t.Substrate.crash c2;
+  Alcotest.check invoked "killed" (Error (Substrate.Killed "other"))
+    (t.Substrate.invoke c2 ~fn:"get" "");
   t.Substrate.destroy c;
   t.Substrate.destroy c2
 
@@ -226,7 +242,7 @@ let test_same_component_all_substrates () =
     (fun setup ->
       let { substrate = t; _ } = setup () in
       let c = launch_ok t ~name:"portable" in
-      Alcotest.(check (result string string))
+      Alcotest.check invoked
         ("portable echo on " ^ t.Substrate.properties.Substrate.substrate_name)
         (Ok "echo:42")
         (t.Substrate.invoke c ~fn:"echo" "42"))

@@ -24,16 +24,16 @@ let slice () =
         ~connects_to:[ Manifest.conn "tls" "transmit" ]
         ~network_facing:true ~substrate:"microkernel" (),
       fun ctx ~service:_ req ->
-        match ctx.Deploy.call_out ~target:"tls" ~service:"transmit" req with
+        match ctx.Deploy.call_out_typed ~target:"tls" ~service:"transmit" req with
         | Ok r -> "ui:" ^ r
-        | Error e -> "ui-error:" ^ e );
+        | Error e -> "ui-error:" ^ App.render_call_error e );
     ( Manifest.v ~name:"tls" ~provides:[ "transmit" ]
         ~connects_to:[ Manifest.conn "keystore" "sign" ]
         ~substrate:"sgx" (),
       fun ctx ~service:_ req ->
-        match ctx.Deploy.call_out ~target:"keystore" ~service:"sign" req with
+        match ctx.Deploy.call_out_typed ~target:"keystore" ~service:"sign" req with
         | Ok signature -> Printf.sprintf "sent(%s,sig=%s)" req signature
-        | Error e -> "tls-error:" ^ e );
+        | Error e -> "tls-error:" ^ App.render_call_error e );
     ( Manifest.v ~name:"keystore" ~provides:[ "sign" ] ~substrate:"sep" (),
       fun ctx ~service:_ req ->
         (* key lives sealed on the SEP *)
@@ -49,7 +49,7 @@ let slice () =
         ~substrate:"sgx" (),
       fun ctx ~service:_ req ->
         (* the renderer tries to reach the keystore: not in its manifest *)
-        match ctx.Deploy.call_out ~target:"keystore" ~service:"sign" "steal" with
+        match ctx.Deploy.call_out_typed ~target:"keystore" ~service:"sign" "steal" with
         | Ok _ -> "EXFILTRATED"
         | Error _ -> "render:" ^ req ) ]
 
@@ -152,6 +152,35 @@ let test_dangling_manifest_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "dangling connection accepted"
 
+let test_crashed_dependency_typed () =
+  let _, _, substrates = make_substrates () in
+  let t =
+    match
+      Deploy.deploy ~substrates
+        [ ( Manifest.v ~name:"front" ~provides:[ "get" ] ~network_facing:true
+              ~connects_to:[ Manifest.conn "store" "load" ] ~substrate:"sgx" (),
+            fun ctx ~service:_ req ->
+              match ctx.Deploy.call_out_typed ~target:"store" ~service:"load" req with
+              | Ok r -> r
+              | Error (App.Crashed { target; reason }) ->
+                Substrate.dep_crashed ~origin:target reason
+              | Error e -> Substrate.fail (App.render_call_error e) );
+          ( Manifest.v ~name:"store" ~provides:[ "load" ] ~substrate:"microkernel" (),
+            fun _ ~service:_ req -> "stored:" ^ req ) ]
+    with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  (match Deploy.crash t "store" with Ok () -> () | Error e -> Alcotest.fail e);
+  (* the microkernel hop reports the kill as a value: it reaches the
+     external caller blamed on its origin, with no exception text *)
+  match Deploy.call_typed t ~caller:None ~target:"front" ~service:"get" "k" with
+  | Error (App.Crashed { target; reason }) ->
+    Alcotest.(check (pair string string)) "crash at its origin"
+      ("store", "component store crashed (killed)") (target, reason)
+  | Error e -> Alcotest.fail (App.render_call_error e)
+  | Ok r -> Alcotest.fail ("answered through a dead dependency: " ^ r)
+
 let suite =
   [ Alcotest.test_case "cross-substrate call chain" `Quick test_cross_substrate_call_chain;
     Alcotest.test_case "placements honored" `Quick test_placements;
@@ -160,4 +189,6 @@ let suite =
     Alcotest.test_case "deployed components attest from their substrate" `Quick
       test_attest_deployed_component;
     Alcotest.test_case "unknown substrate rejected" `Quick test_unknown_substrate_rejected;
-    Alcotest.test_case "dangling manifests rejected" `Quick test_dangling_manifest_rejected ]
+    Alcotest.test_case "dangling manifests rejected" `Quick test_dangling_manifest_rejected;
+    Alcotest.test_case "crashed dependency is a typed crash at its origin" `Quick
+      test_crashed_dependency_typed ]

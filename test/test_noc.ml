@@ -94,7 +94,8 @@ let test_substrate_adapter_conformance_bits () =
   | Error e -> Alcotest.fail e
   | Ok c ->
     Alcotest.(check (result string string)) "invoke" (Ok "r:1")
-      (t.Lateral.Substrate.invoke c ~fn:"f" "1");
+      (Result.map_error Lateral.Substrate.render_error
+         (t.Lateral.Substrate.invoke c ~fn:"f" "1"));
     (match t.Lateral.Substrate.attest c ~nonce:"n" ~claim:"x" with
      | Ok ev ->
        let policy =

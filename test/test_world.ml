@@ -76,9 +76,9 @@ let slice () =
         ~connects_to:[ Manifest.conn "tls" "transmit" ]
         ~network_facing:true ~substrate:"microkernel" (),
       fun ctx ~service:_ req ->
-        match ctx.Deploy.call_out ~target:"tls" ~service:"transmit" req with
+        match ctx.Deploy.call_out_typed ~target:"tls" ~service:"transmit" req with
         | Ok r -> "ui:" ^ r
-        | Error e -> "ui-error:" ^ e );
+        | Error e -> "ui-error:" ^ App.render_call_error e );
     ( Manifest.v ~name:"tls" ~provides:[ "transmit" ] ~substrate:"sgx" (),
       fun ctx ~service:_ req ->
         (* persistent per-launch state, so restore has something to undo *)
@@ -246,7 +246,7 @@ let test_call_fast_sees_crash_and_relaunch () =
   (match Deploy.crash t "ui" with Ok () -> () | Error e -> Alcotest.fail e);
   (match Deploy.call_fast t r "m" with
    | _ -> Alcotest.fail "call into a dead component must fail"
-   | exception Deploy.Call_failed _ -> ());
+   | exception App.Call_failed _ -> ());
   (match Deploy.relaunch t "ui" with
    | Ok () -> ()
    | Error e -> Alcotest.fail e);
