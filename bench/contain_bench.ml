@@ -3,7 +3,8 @@
    incr_bench, but with singleton protection domains and a restart
    policy on most components so the containment fixpoint has real work:
    channel edges everywhere, a sprinkling of sep islands, and one
-   restart-policy toggle as the delta. Two self-gates:
+   restart-policy toggle as the delta. Two self-gates, checked by the
+   shared harness:
      - batch Contain.analyze must finish in <= 200ms median (exit 1),
      - the incremental contain re-verdict after a one-component delta
        must beat from-scratch by >= 20x (exit 1),
@@ -16,15 +17,7 @@ open Lateral
 let n = 1000
 
 let mk ?(restarting = true) i =
-  let name = Printf.sprintf "c%03d" i in
-  let connects =
-    List.filter_map
-      (fun j ->
-        if j < n && j <> i then
-          Some (Manifest.conn (Printf.sprintf "c%03d" j) "s")
-        else None)
-      [ i + 1; i + 7; i + 31 ]
-  in
+  let name, connects = Harness.layered ~n i in
   Manifest.v ~name ~provides:[ "s" ] ~connects_to:connects
     ~stateful:(i mod 13 = 0)
     ?restart:
@@ -36,58 +29,35 @@ let mk ?(restarting = true) i =
 
 let manifests = List.init n (fun i -> mk i)
 
-let median times =
-  let sorted = List.sort compare times in
-  List.nth sorted (List.length sorted / 2)
-
 let () =
   ignore (Contain.analyze manifests) (* warm-up *);
   let batch_runs = 5 in
-  let batch_times =
-    List.init batch_runs (fun _ ->
-        let t0 = Sys.time () in
-        ignore (Contain.analyze manifests);
-        Sys.time () -. t0)
+  let batch_ms =
+    Harness.median
+      (List.init batch_runs (fun _ ->
+           Harness.time (fun () -> Contain.analyze manifests)))
+    *. 1000.
   in
   (* incremental: re-verdict after one component's restart policy
-     flips — a contain-relevant delta (crash impact changes), applied
-     to live state. Alternating so every apply is a real change;
-     batched per sample to dodge timer granularity *)
-  let st = ref (Check.create manifests) in
-  let step k =
-    let st', _ =
-      Check.apply (Delta.Add (mk ~restarting:(k mod 2 = 0) 999)) !st
-    in
-    st := st'
+     flips — a contain-relevant delta (crash impact changes) *)
+  let deltas_applied, incr_times =
+    Harness.delta_samples manifests (fun k -> mk ~restarting:(k mod 2 = 0) 999)
   in
-  step 0;
-  step 1 (* warm-up *);
-  let samples = 10 and per_sample = 10 in
-  let deltas_applied = ref 2 in
-  let incr_times =
-    List.init samples (fun s ->
-        let t0 = Sys.time () in
-        for k = 0 to per_sample - 1 do
-          step ((s * per_sample) + k);
-          incr deltas_applied
-        done;
-        (Sys.time () -. t0) /. float_of_int per_sample)
-  in
-  (* the speed means nothing if the answer drifted *)
-  (match Check.divergence !st with
-   | None -> ()
-   | Some reason ->
-     Printf.eprintf "contain_bench: incremental state diverged: %s\n" reason;
-     exit 2);
-  let batch_ms = median batch_times *. 1000. in
-  let incr_ms = median incr_times *. 1000. in
+  let incr_ms = Harness.median incr_times *. 1000. in
   let speedup = batch_ms /. incr_ms in
   let batch_budget_ms = 200.0 in
   let speedup_budget = 20.0 in
-  let within = batch_ms <= batch_budget_ms && speedup >= speedup_budget in
-  Printf.printf
-    "{\"benchmark\":\"contain\",\"components\":%d,\"delta\":\"toggle restart \
-     policy on c999\",\"deltas_applied\":%d,\"batch_runs\":%d,\"batch_median_ms\":%.3f,\"budget_batch_ms\":%.1f,\"incr_median_ms\":%.3f,\"speedup\":%.1f,\"budget_min_speedup\":%.1f,\"within_budget\":%b}\n"
-    n !deltas_applied batch_runs batch_ms batch_budget_ms incr_ms speedup
-    speedup_budget within;
-  if not within then exit 1
+  let bounds =
+    [ Harness.at_most "batch_median_ms" batch_ms batch_budget_ms;
+      Harness.at_least "speedup" speedup speedup_budget ]
+  in
+  Harness.report "contain"
+    Lt_obs.Json.
+      [ ("components", Int n); ("delta", Str "toggle restart policy on c999");
+        ("deltas_applied", Int deltas_applied); ("batch_runs", Int batch_runs);
+        ("batch_median_ms", Float batch_ms);
+        ("budget_batch_ms", Float batch_budget_ms);
+        ("incr_median_ms", Float incr_ms); ("speedup", Float speedup);
+        ("budget_min_speedup", Float speedup_budget);
+        ("within_budget", Bool (Harness.within bounds)) ]
+    bounds

@@ -1,27 +1,19 @@
 (* Self-timed micro-benchmark of the Flow fixpoint solver on a
    1000-component manifest. The old Analysis.paths-based taint rule was
    exponential on dense graphs; the solver must stay comfortably linear.
-   Emits one JSON object; the committed record lives in BENCH_flow.json
-   at the repo root (refresh with `dune exec bench/flow_bench.exe`). *)
+   Reports, gates nothing. Emits one JSON object; the committed record
+   lives in BENCH_flow.json at the repo root (refresh with
+   `dune exec bench/flow_bench.exe`). *)
 
 open Lateral
 
 let n = 1000
 
-(* a layered topology with long-range chords: every component feeds the
-   next one plus two skip links, a sprinkling of network-facing sources
-   and sep-hosted secret holders *)
+(* the harness's layered topology, with a sprinkling of network-facing
+   sources and sep-hosted secret holders *)
 let manifests =
   List.init n (fun i ->
-      let name = Printf.sprintf "c%03d" i in
-      let connects =
-        List.filter_map
-          (fun j ->
-            if j < n && j <> i then
-              Some (Manifest.conn (Printf.sprintf "c%03d" j) "s")
-            else None)
-          [ i + 1; i + 7; i + 31 ]
-      in
+      let name, connects = Harness.layered ~n i in
       Manifest.v ~name ~provides:[ "s" ] ~connects_to:connects
         ~network_facing:(i mod 97 = 0)
         ~substrate:(if i mod 100 = 50 then "sep" else "microkernel")
@@ -31,19 +23,15 @@ let () =
   ignore (Flow.analyze manifests) (* warm-up *);
   let runs = 10 in
   let times =
-    List.init runs (fun _ ->
-        let t0 = Sys.time () in
-        ignore (Flow.analyze manifests);
-        Sys.time () -. t0)
+    List.init runs (fun _ -> Harness.time (fun () -> Flow.analyze manifests))
   in
   let r = Flow.analyze manifests in
-  let sorted = List.sort compare times in
-  let median = List.nth sorted (runs / 2) in
   let mean = List.fold_left ( +. ) 0.0 times /. float_of_int runs in
-  Printf.printf
-    "{\"benchmark\":\"flow-solver\",\"components\":%d,\"flow_edges\":%d,\"leaks\":%d,\"taint_hits\":%d,\"runs\":%d,\"median_ms\":%.3f,\"mean_ms\":%.3f}\n"
-    n
-    (List.length r.Flow.edges)
-    (List.length r.Flow.leaks)
-    (List.length r.Flow.taint_hits)
-    runs (median *. 1000.) (mean *. 1000.)
+  Harness.report "flow-solver"
+    Lt_obs.Json.
+      [ ("components", Int n); ("flow_edges", Int (List.length r.Flow.edges));
+        ("leaks", Int (List.length r.Flow.leaks));
+        ("taint_hits", Int (List.length r.Flow.taint_hits)); ("runs", Int runs);
+        ("median_ms", Float (Harness.median times *. 1000.));
+        ("mean_ms", Float (mean *. 1000.)) ]
+    []

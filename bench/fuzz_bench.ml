@@ -7,31 +7,26 @@
    used to redeploy the probe app onto all seven substrates per check
    (RSA keygen included, 3.54 execs/s at the seed baseline); it now
    boots once and World.restores the pristine fork per case, and the
-   run self-gates (exit 1) on holding >= 100x that baseline. *)
+   run self-gates (exit 1, through the shared harness) on holding
+   >= 100x that baseline. *)
 
 module Drbg = Lt_crypto.Drbg
-
-let time f =
-  let t0 = Sys.time () in
-  let x = f () in
-  (Sys.time () -. t0, x)
 
 let throughput ~seed ~warm ~cases generate check =
   for i = 0 to warm - 1 do
     ignore (check (generate (Drbg.create (Int64.of_int (seed + i))) i))
   done;
-  let elapsed, failures =
-    time (fun () ->
-        let failures = ref 0 in
+  let failures = ref 0 in
+  let elapsed =
+    Harness.time (fun () ->
         for i = 0 to cases - 1 do
           let rng = Drbg.create (Int64.of_int (seed + 1000 + i)) in
           match check (generate rng i) with
           | Ok () -> ()
           | Error _ -> incr failures
-        done;
-        !failures)
+        done)
   in
-  (float_of_int cases /. elapsed, failures)
+  (float_of_int cases /. elapsed, !failures)
 
 let shrink_cost () =
   (* minimize a 24-op schedule down to the one line the predicate
@@ -49,15 +44,19 @@ let shrink_cost () =
       (fun l -> String.length l >= 7 && String.sub l 0 7 = "corrupt")
       (String.split_on_char '\n' p)
   in
-  let steps = ref 0 in
-  let elapsed, minimal =
-    time (fun () -> Lt_fuzz.Shrink.lines ~steps has_strike payload)
+  let steps = ref 0 and minimal = ref "" in
+  let elapsed =
+    Harness.time (fun () ->
+        minimal := Lt_fuzz.Shrink.lines ~steps has_strike payload)
   in
   let lines =
     List.length
-      (List.filter (fun l -> l <> "") (String.split_on_char '\n' minimal))
+      (List.filter (fun l -> l <> "") (String.split_on_char '\n' !minimal))
   in
   (!steps, elapsed *. 1e3, lines)
+
+(* fork-per-case must hold >= 100x the 3.54/s redeploy-per-case seed *)
+let substrate_floor = 350.0
 
 let () =
   let manifest_eps, mf =
@@ -73,14 +72,12 @@ let () =
       Lt_fuzz.Substrate_fuzz.check
   in
   let shrink_steps, shrink_ms, shrink_lines = shrink_cost () in
-  Printf.printf
-    "{\"benchmark\":\"hunt-throughput\",\"manifest_execs_per_sec\":%.0f,\"storage_execs_per_sec\":%.0f,\"substrate_execs_per_sec\":%.0f,\"substrate_floor_execs_per_sec\":350,\"failures\":%d,\"shrink_steps\":%d,\"shrink_ms\":%.1f,\"shrink_final_lines\":%d}\n"
-    manifest_eps storage_eps substrate_eps (mf + sf + bf) shrink_steps
-    shrink_ms shrink_lines;
-  (* fork-per-case must hold >= 100x the 3.54/s redeploy-per-case seed *)
-  if substrate_eps < 350.0 then begin
-    Printf.eprintf
-      "fuzz_bench: substrate engine at %.0f execs/s, below the 350/s floor\n"
-      substrate_eps;
-    exit 1
-  end
+  Harness.report "hunt-throughput"
+    Lt_obs.Json.
+      [ ("manifest_execs_per_sec", Float manifest_eps);
+        ("storage_execs_per_sec", Float storage_eps);
+        ("substrate_execs_per_sec", Float substrate_eps);
+        ("substrate_floor_execs_per_sec", Float substrate_floor);
+        ("failures", Int (mf + sf + bf)); ("shrink_steps", Int shrink_steps);
+        ("shrink_ms", Float shrink_ms); ("shrink_final_lines", Int shrink_lines) ]
+    [ Harness.at_least "substrate_execs_per_sec" substrate_eps substrate_floor ]

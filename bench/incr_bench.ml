@@ -3,25 +3,19 @@
    live control plane: a 1000-component fleet (flow_bench's layered
    topology) where one leaf component's CVE bit flips — the re-verdict
    must come from re-deriving the affected slice, not from re-analysing
-   the fleet. Self-gating: exits 1 if the single-delta re-verdict is not
-   at least 20x faster than a from-scratch Lint.run + Flow.analyze.
-   Emits one JSON object; the committed record lives in BENCH_incr.json
-   at the repo root (refresh with `dune exec bench/incr_bench.exe`). *)
+   the fleet. Self-gating through the shared harness: exits 1 if the
+   single-delta re-verdict is not at least 20x faster than a
+   from-scratch Lint.run + Flow.analyze, and 2 if the incremental state
+   diverged from batch. Emits one JSON object; the committed record
+   lives in BENCH_incr.json at the repo root (refresh with
+   `dune exec bench/incr_bench.exe`). *)
 
 open Lateral
 
 let n = 1000
 
 let mk ?(vulnerable = false) i =
-  let name = Printf.sprintf "c%03d" i in
-  let connects =
-    List.filter_map
-      (fun j ->
-        if j < n && j <> i then
-          Some (Manifest.conn (Printf.sprintf "c%03d" j) "s")
-        else None)
-      [ i + 1; i + 7; i + 31 ]
-  in
+  let name, connects = Harness.layered ~n i in
   Manifest.v ~name ~provides:[ "s" ] ~connects_to:connects
     ~network_facing:(i mod 97 = 0) ~vulnerable
     ~substrate:(if i mod 100 = 50 then "sep" else "microkernel")
@@ -29,57 +23,28 @@ let mk ?(vulnerable = false) i =
 
 let manifests = List.init n (fun i -> mk i)
 
-let median times =
-  let sorted = List.sort compare times in
-  List.nth sorted (List.length sorted / 2)
-
 let () =
   (* batch: what a CI gate pays to re-check the fleet from scratch *)
-  ignore (Lint.run manifests);
-  ignore (Flow.analyze manifests);
+  let batch () = (Lint.run manifests, Flow.analyze manifests) in
+  ignore (batch ());
   let batch_runs = 5 in
-  let batch_times =
-    List.init batch_runs (fun _ ->
-        let t0 = Sys.time () in
-        ignore (Lint.run manifests);
-        ignore (Flow.analyze manifests);
-        Sys.time () -. t0)
+  let batch_ms =
+    Harness.median (List.init batch_runs (fun _ -> Harness.time batch)) *. 1000.
   in
   (* incremental: the same re-verdict after one component's CVE bit
-     flips, applied to live state. Deltas alternate so every apply is a
-     real change; applies are batched per sample to dodge timer
-     granularity *)
-  let st = ref (Check.create manifests) in
-  let step k =
-    let st', _ = Check.apply (Delta.Add (mk ~vulnerable:(k mod 2 = 0) 999)) !st in
-    st := st'
+     flips *)
+  let deltas_applied, incr_times =
+    Harness.delta_samples manifests (fun k -> mk ~vulnerable:(k mod 2 = 0) 999)
   in
-  step 0;
-  step 1 (* warm-up *);
-  let samples = 10 and per_sample = 10 in
-  let deltas_applied = ref 2 in
-  let incr_times =
-    List.init samples (fun s ->
-        let t0 = Sys.time () in
-        for k = 0 to per_sample - 1 do
-          step ((s * per_sample) + k);
-          incr deltas_applied
-        done;
-        (Sys.time () -. t0) /. float_of_int per_sample)
-  in
-  (* the speed means nothing if the answer drifted *)
-  (match Check.divergence !st with
-   | None -> ()
-   | Some reason ->
-     Printf.eprintf "incr_bench: incremental state diverged: %s\n" reason;
-     exit 2);
-  let batch_ms = median batch_times *. 1000. in
-  let incr_ms = median incr_times *. 1000. in
+  let incr_ms = Harness.median incr_times *. 1000. in
   let speedup = batch_ms /. incr_ms in
   let budget = 20.0 in
-  let within = speedup >= budget in
-  Printf.printf
-    "{\"benchmark\":\"incr-check\",\"components\":%d,\"delta\":\"toggle \
-     vulnerable on c999\",\"deltas_applied\":%d,\"batch_runs\":%d,\"batch_median_ms\":%.3f,\"incr_median_ms\":%.3f,\"speedup\":%.1f,\"budget_min_speedup\":%.1f,\"within_budget\":%b}\n"
-    n !deltas_applied batch_runs batch_ms incr_ms speedup budget within;
-  if not within then exit 1
+  let bounds = [ Harness.at_least "speedup" speedup budget ] in
+  Harness.report "incr-check"
+    Lt_obs.Json.
+      [ ("components", Int n); ("delta", Str "toggle vulnerable on c999");
+        ("deltas_applied", Int deltas_applied); ("batch_runs", Int batch_runs);
+        ("batch_median_ms", Float batch_ms); ("incr_median_ms", Float incr_ms);
+        ("speedup", Float speedup); ("budget_min_speedup", Float budget);
+        ("within_budget", Bool (Harness.within bounds)) ]
+    bounds

@@ -7,7 +7,8 @@
    substream), so the gates check exactly that: every configuration
    must clear an absolute requests/s floor, the sampled per-request
    p99 must stay under budget, and the 10,000-tenant throughput must
-   retain at least 25% of the 100-tenant figure. The committed record
+   retain at least 25% of the 100-tenant figure; the shared harness
+   exits 1 at the first gate that fails. The committed record
    lives in BENCH_scale.json at the repo root (refresh with
    `dune exec bench/scale_bench.exe`). *)
 
@@ -39,19 +40,19 @@ let cfg (tenants, per_tenant) =
 (* fastest-of-[runs] sustained throughput of the real engine *)
 let throughput (tenants, per_tenant) =
   let c = cfg (tenants, per_tenant) in
-  let best = ref infinity in
-  for _ = 1 to runs do
-    let t0 = Sys.time () in
-    (match Scale.run c with
-     | Ok r ->
-       if not (Scale.contained r) then begin
-         Printf.eprintf "scale_bench: uncontained run at %d tenants\n" tenants;
-         exit 2
-       end
-     | Error e -> failwith e);
-    best := min !best (Sys.time () -. t0)
-  done;
-  float_of_int (tenants * per_tenant) /. !best
+  let one () =
+    Harness.time (fun () ->
+        match Scale.run c with
+        | Ok r ->
+          if not (Scale.contained r) then begin
+            Printf.eprintf "scale_bench: uncontained run at %d tenants\n"
+              tenants;
+            exit 2
+          end
+        | Error e -> failwith e)
+  in
+  let best = List.fold_left min infinity (List.init runs (fun _ -> one ())) in
+  float_of_int (tenants * per_tenant) /. best
 
 (* Per-request latency, sampled one visit at a time on the router hot
    path: restore the tenant's snapshot, issue [batch] admitted
@@ -105,9 +106,7 @@ let latency_p99_us tenants =
   let samples =
     Array.init latency_visits (fun s ->
         let i = s * 7919 mod tenants in
-        let t0 = Sys.time () in
-        visit i;
-        (Sys.time () -. t0) *. 1e6 /. float_of_int batch)
+        Harness.us_per_op ~ops:batch (Harness.time (fun () -> visit i)))
   in
   Deploy.destroy dep.Load.d_deploy;
   Array.sort compare samples;
@@ -123,34 +122,29 @@ let () =
   let rps_floor = 1_000.0 in
   let p99_budget_us = 1_000.0 in
   let retention_floor = 0.25 in
-  let nth l i = List.nth l i in
-  let retention = nth rps 2 /. nth rps 0 in
-  Printf.printf
-    "{\"benchmark\":\"scale-router\",\"workload\":\"seeded closed-loop mail \
-     traffic, sharded tenant worlds behind token-bucket admission, \
-     traced\",\"requests_per_tenant\":[64,8,4],\"batch\":%d,\"shards\":%d,\"runs\":%d,\"latency_visits\":%d,\"tenants_100_rps\":%.0f,\"tenants_1000_rps\":%.0f,\"tenants_10000_rps\":%.0f,\"tenants_100_p99_us\":%.1f,\"tenants_1000_p99_us\":%.1f,\"tenants_10000_p99_us\":%.1f,\"retention_10000_vs_100_x\":%.2f,\"rps_floor\":%.0f,\"p99_budget_us\":%.0f,\"retention_floor_x\":%.2f}\n"
-    batch shards runs latency_visits (nth rps 0) (nth rps 1) (nth rps 2)
-    (nth p99 0) (nth p99 1) (nth p99 2) retention rps_floor p99_budget_us
-    retention_floor;
-  List.iteri
-    (fun i n ->
-      if nth rps i < rps_floor then begin
-        Printf.eprintf
-          "scale_bench: %.0f req/s at %d tenants under the %.0f floor\n"
-          (nth rps i) n rps_floor;
-        exit 1
-      end;
-      if nth p99 i > p99_budget_us then begin
-        Printf.eprintf
-          "scale_bench: p99 %.1fus at %d tenants blew the %.0fus budget\n"
-          (nth p99 i) n p99_budget_us;
-        exit 1
-      end)
-    tenant_counts;
-  if retention < retention_floor then begin
-    Printf.eprintf
-      "scale_bench: 10k-tenant throughput retained only %.2fx of the \
-       100-tenant figure (floor %.2fx)\n"
-      retention retention_floor;
-    exit 1
-  end
+  let retention = List.nth rps 2 /. List.nth rps 0 in
+  let per_count suffix xs =
+    List.map2 (fun n x -> (Printf.sprintf "tenants_%d_%s" n suffix, x))
+      tenant_counts xs
+  in
+  let rps_k = per_count "rps" rps and p99_k = per_count "p99_us" p99 in
+  Harness.report "scale-router"
+    Lt_obs.Json.(
+      [ ( "workload",
+          Str
+            "seeded closed-loop mail traffic, sharded tenant worlds behind \
+             token-bucket admission, traced" );
+        ( "requests_per_tenant",
+          List (List.map (fun (_, r) -> Int r) configurations) );
+        ("batch", Int batch); ("shards", Int shards); ("runs", Int runs);
+        ("latency_visits", Int latency_visits) ]
+      @ List.map (fun (k, x) -> (k, Float x)) (rps_k @ p99_k)
+      @ [ ("retention_10000_vs_100_x", Float retention);
+          ("rps_floor", Float rps_floor); ("p99_budget_us", Float p99_budget_us);
+          ("retention_floor_x", Float retention_floor) ])
+    (List.concat
+       (List.map2
+          (fun (kr, r) (kp, p) ->
+            [ Harness.at_least kr r rps_floor; Harness.at_most kp p p99_budget_us ])
+          rps_k p99_k)
+    @ [ Harness.at_least "retention_10000_vs_100_x" retention retention_floor ])

@@ -14,25 +14,14 @@
      behaviour. Budget < 1us median — this is the zero-allocation path
      and anything near the slow pipeline means the guard regressed.
 
-   Self-gating: exits 1 when a budget is blown. Not attached to
-   @runtest; run with `dune exec bench/world_bench.exe`, record in
-   BENCH_snap.json. The clock is CPU time, so machine noise only ever
-   adds time — a pass under load is a pass. *)
+   Self-gating through the shared harness: exits 1 when a budget is
+   blown. Not attached to @runtest; run with
+   `dune exec bench/world_bench.exe`, record in BENCH_snap.json. *)
 
 module Drbg = Lt_crypto.Drbg
 module World = Lt_world.World
 module Load = Lt_load.Load
 open Lateral
-
-let time f =
-  let t0 = Sys.time () in
-  f ();
-  Sys.time () -. t0
-
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  a.(Array.length a / 2)
 
 let boot_mail () =
   match Load.deploy_scenario (Drbg.create 0x5eedL) Load.Mail with
@@ -47,17 +36,13 @@ let forks_per_run = 200
 let runs = 9
 
 let bench_fork w =
-  let samples = ref [] in
-  for _ = 1 to runs do
-    let t =
-      time (fun () ->
-          for _ = 1 to forks_per_run do
-            ignore (Sys.opaque_identity (World.fork w))
-          done)
-    in
-    samples := (t *. 1e6 /. float_of_int forks_per_run) :: !samples
-  done;
-  median !samples
+  Harness.median
+    (List.init runs (fun _ ->
+         Harness.us_per_op ~ops:forks_per_run
+           (Harness.time (fun () ->
+                for _ = 1 to forks_per_run do
+                  ignore (Sys.opaque_identity (World.fork w))
+                done))))
 
 let restores_per_run = 50
 
@@ -71,27 +56,23 @@ let bench_restore (d : Load.deployed) =
   in
   (* (request + restore) minus (request alone): the request dominates
      both loops, the difference is the rewind *)
-  let samples = ref [] in
-  for _ = 1 to runs do
-    let t_mr =
-      time (fun () ->
-          for i = 1 to restores_per_run do
-            one_request i;
-            World.restore w pristine
-          done)
-    in
-    let t_m =
-      time (fun () ->
-          for i = 1 to restores_per_run do
-            one_request i
-          done)
-    in
-    World.restore w pristine;
-    samples :=
-      Float.max 0.0 ((t_mr -. t_m) *. 1e6 /. float_of_int restores_per_run)
-      :: !samples
-  done;
-  median !samples
+  Harness.median
+    (List.init runs (fun _ ->
+         let t_mr =
+           Harness.time (fun () ->
+               for i = 1 to restores_per_run do
+                 one_request i;
+                 World.restore w pristine
+               done)
+         in
+         let t_m =
+           Harness.time (fun () ->
+               for i = 1 to restores_per_run do
+                 one_request i
+               done)
+         in
+         World.restore w pristine;
+         Float.max 0.0 (Harness.us_per_op ~ops:restores_per_run (t_mr -. t_m))))
 
 (* -- untraced fast call ------------------------------------------------- *)
 
@@ -124,38 +105,31 @@ let bench_call () =
   in
   ignore (Deploy.call_fast t route "x");
   ignore (Deploy.call_fast t route "x");
-  let samples = ref [] in
-  for _ = 1 to runs do
-    let t_run =
-      time (fun () ->
-          for _ = 1 to calls_per_run do
-            ignore (Sys.opaque_identity (Deploy.call_fast t route "x"))
-          done)
-    in
-    samples := (t_run *. 1e9 /. float_of_int calls_per_run) :: !samples
-  done;
-  median !samples
+  Harness.median
+    (List.init runs (fun _ ->
+         1e3
+         *. Harness.us_per_op ~ops:calls_per_run
+              (Harness.time (fun () ->
+                   for _ = 1 to calls_per_run do
+                     ignore (Sys.opaque_identity (Deploy.call_fast t route "x"))
+                   done))))
 
 let () =
   let d = ref None in
-  let boot_ms = time (fun () -> d := Some (boot_mail ())) *. 1e3 in
+  let boot_ms = Harness.time (fun () -> d := Some (boot_mail ())) *. 1e3 in
   let d = Option.get !d in
   let fork_us = bench_fork d.Load.d_world in
   let restore_us = bench_restore d in
   let call_ns = bench_call () in
   let fork_budget_us = 100.0 and call_budget_ns = 1000.0 in
-  Printf.printf
-    "{\"benchmark\":\"world-snapshots\",\"workload\":\"mail world fork/restore \
-     + untraced echo call_fast\",\"boot_ms\":%.1f,\"fork_median_us\":%.2f,\"fork_budget_us\":%.0f,\"restore_median_us\":%.2f,\"fast_call_median_ns\":%.1f,\"fast_call_budget_ns\":%.0f,\"forks_per_boot\":%.0f}\n"
-    boot_ms fork_us fork_budget_us restore_us call_ns call_budget_ns
-    (boot_ms *. 1e3 /. Float.max fork_us 0.01);
-  if fork_us > fork_budget_us then begin
-    Printf.eprintf "world_bench: fork %.2fus blew the %.0fus budget\n" fork_us
-      fork_budget_us;
-    exit 1
-  end;
-  if call_ns > call_budget_ns then begin
-    Printf.eprintf "world_bench: fast call %.1fns blew the %.0fns budget\n"
-      call_ns call_budget_ns;
-    exit 1
-  end
+  Harness.report "world-snapshots"
+    Lt_obs.Json.
+      [ ("workload", Str "mail world fork/restore + untraced echo call_fast");
+        ("boot_ms", Float boot_ms); ("fork_median_us", Float fork_us);
+        ("fork_budget_us", Float fork_budget_us);
+        ("restore_median_us", Float restore_us);
+        ("fast_call_median_ns", Float call_ns);
+        ("fast_call_budget_ns", Float call_budget_ns);
+        ("forks_per_boot", Float (boot_ms *. 1e3 /. Float.max fork_us 0.01)) ]
+    [ Harness.at_most "fork_median_us" fork_us fork_budget_us;
+      Harness.at_most "fast_call_median_ns" call_ns call_budget_ns ]

@@ -434,6 +434,40 @@ let cmd_analyze file exploit path =
       risks;
     0
 
+(* --- manifest files: the one loader behind lint, flow, check and contain ----------- *)
+
+(* every file joins ONE fleet: cross-file hazards — a target declared in
+   another file, duplicate names across files — are first-class findings,
+   not blind spots. [errors] holds one "FILE: message" line per file that
+   did not parse, in argument order; each command keeps its own policy
+   for them *)
+type manifest_files = {
+  loaded : (string * Manifest_file.span list) list;
+  label : string;
+  manifests : Manifest.t list;
+  hosts : Manifest.host list;
+  errors : string list;
+}
+
+let load_manifest_files files =
+  let ok, errors =
+    List.partition_map
+      (fun file ->
+        match Manifest_file.load_fleet_spanned file with
+        | Ok (spans, hosts) -> Left (file, spans, hosts)
+        | Error e -> Right (Printf.sprintf "%s: %s" file e))
+      files
+  in
+  let loaded = List.map (fun (f, spans, _) -> (f, spans)) ok in
+  { loaded;
+    label = String.concat ", " (List.map fst loaded);
+    manifests =
+      List.concat_map
+        (fun (_, spans) -> List.map (fun s -> s.Manifest_file.sp_manifest) spans)
+        loaded;
+    hosts = List.concat_map (fun (_, _, hs) -> hs) ok;
+    errors }
+
 (* --- lint: the static checker over manifest files --------------------------------- *)
 
 let cmd_lint files format show_rules =
@@ -444,41 +478,21 @@ let cmd_lint files format show_rules =
   else if files = [] then
     fail "lint" 2 "no manifest file given (try --rules for the catalogue)"
   else begin
-    let parse_failed = ref false in
-    (* every file joins ONE fleet: cross-file hazards — a target
-       declared in another file, duplicate names across files — are
-       first-class findings, not blind spots *)
-    let loaded_fleet =
-      List.filter_map
-        (fun file ->
-          match Manifest_file.load_fleet_spanned file with
-          | Error e ->
-            parse_failed := true;
-            Printf.eprintf "%s: %s\n" file e;
-            None
-          | Ok (spans, hosts) -> Some (file, spans, hosts))
-        files
+    let mf = load_manifest_files files in
+    List.iter (Printf.eprintf "%s\n") mf.errors;
+    let config =
+      { Lint_rules.default_config with Lint_rules.declared_hosts = mf.hosts }
     in
-    let loaded = List.map (fun (f, spans, _) -> (f, spans)) loaded_fleet in
-    let hosts = List.concat_map (fun (_, _, hs) -> hs) loaded_fleet in
-    let manifests =
-      List.concat_map
-        (fun (_, spans) ->
-          List.map (fun s -> s.Manifest_file.sp_manifest) spans)
-        loaded
-    in
-    let config = { Lint_rules.default_config with Lint_rules.declared_hosts = hosts } in
-    let diags = Lint.locate_all loaded (Lint.run ~config manifests) in
-    let label = String.concat ", " (List.map fst loaded) in
+    let diags = Lint.locate_all mf.loaded (Lint.run ~config mf.manifests) in
     (match format with
      | Text ->
-       if loaded <> [] then print_string (Lint.render_text ~file:label diags)
+       if mf.loaded <> [] then print_string (Lint.render_text ~file:mf.label diags)
      | Json ->
        print_string
          ("["
-         ^ (if loaded = [] then "" else Lint.render_json ~file:label diags)
+         ^ (if mf.loaded = [] then "" else Lint.render_json ~file:mf.label diags)
          ^ "]\n"));
-    if !parse_failed then 2 else if Lint.has_errors diags then 1 else 0
+    if mf.errors <> [] then 2 else if Lint.has_errors diags then 1 else 0
   end
 
 (* --- flow: information-flow analysis and kernel conformance ----------------------- *)
@@ -486,26 +500,15 @@ let cmd_lint files format show_rules =
 let cmd_flow files format dot conform =
   if files = [] then fail "flow" 2 "no manifest file given"
   else begin
-    let parse_failed = ref false in
     (* like lint: all the files are one fleet, one lattice, one report *)
-    let loaded =
-      List.filter_map
-        (fun file ->
-          match Manifest_file.load file with
-          | Error e ->
-            parse_failed := true;
-            Printf.eprintf "%s: %s\n" file e;
-            None
-          | Ok manifests -> Some (file, manifests))
-        files
-    in
-    if loaded = [] then begin
+    let mf = load_manifest_files files in
+    List.iter (Printf.eprintf "%s\n") mf.errors;
+    if mf.loaded = [] then begin
       if (not dot) && format = Json then print_string "[]\n";
       2
     end
     else begin
-      let label = String.concat ", " (List.map fst loaded) in
-      let manifests = List.concat_map snd loaded in
+      let label = mf.label and manifests = mf.manifests in
       let any_violation = ref false in
       let r = Flow.analyze manifests in
       let conf =
@@ -528,7 +531,7 @@ let cmd_flow files format dot conform =
          | Text -> print_string (Flow.render_text ~file:label ?conformance:conf r)
          | Json ->
            print_string ("[" ^ Flow.render_json ~file:label ?conformance:conf r ^ "]\n"));
-      if !parse_failed then 2 else if !any_violation then 1 else 0
+      if mf.errors <> [] then 2 else if !any_violation then 1 else 0
     end
   end
 
@@ -537,13 +540,7 @@ let cmd_flow files format dot conform =
 let cmd_check files deltas_file format verify =
   if files = [] then fail "check" 2 "no manifest file given"
   else begin
-    let rec load_all acc = function
-      | [] -> Ok (List.rev acc)
-      | f :: rest ->
-        (match Manifest_file.load_fleet f with
-         | Error e -> Error (Printf.sprintf "%s: %s" f e)
-         | Ok (ms, hs) -> load_all ((f, ms, hs) :: acc) rest)
-    in
+    let mf = load_manifest_files files in
     let deltas =
       match deltas_file with
       | None -> Ok []
@@ -559,17 +556,17 @@ let cmd_check files deltas_file format verify =
              (Printf.sprintf "%s:%d: %s" loc.Diagnostic.file
                 loc.Diagnostic.line pe_msg))
     in
-    match (load_all [] files, deltas) with
-    | Error e, _ | _, Error e ->
+    (* the first unparseable file stops the run *)
+    match (mf.errors, deltas) with
+    | e :: _, _ | [], Error e ->
       Printf.eprintf "%s\n" e;
       2
-    | Ok loaded, Ok deltas ->
-      let label = String.concat ", " (List.map (fun (f, _, _) -> f) loaded) in
+    | [], Ok deltas ->
+      let label = mf.label in
       let config =
-        { Lint_rules.default_config with
-          Lint_rules.declared_hosts = List.concat_map (fun (_, _, hs) -> hs) loaded }
+        { Lint_rules.default_config with Lint_rules.declared_hosts = mf.hosts }
       in
-      let st = Check.create ~config (List.concat_map (fun (_, ms, _) -> ms) loaded) in
+      let st = Check.create ~config mf.manifests in
       let any_error = ref false in
       let diverged = ref None in
       let text_steps = Buffer.create 256 and json_steps = ref [] in
@@ -640,28 +637,12 @@ let contain_rule_ids =
 let cmd_contain files format dot witness =
   if files = [] then fail "contain" 2 "no manifest file given"
   else begin
-    let parse_failed = ref false in
     (* like lint: every file joins one fleet, one propagation graph *)
-    let loaded =
-      List.filter_map
-        (fun file ->
-          match Manifest_file.load_spanned file with
-          | Error e ->
-            parse_failed := true;
-            Printf.eprintf "%s: %s\n" file e;
-            None
-          | Ok spans -> Some (file, spans))
-        files
-    in
-    if !parse_failed then 2
+    let mf = load_manifest_files files in
+    List.iter (Printf.eprintf "%s\n") mf.errors;
+    if mf.errors <> [] then 2
     else begin
-      let label = String.concat ", " (List.map fst loaded) in
-      let manifests =
-        List.concat_map
-          (fun (_, spans) ->
-            List.map (fun s -> s.Manifest_file.sp_manifest) spans)
-          loaded
-      in
+      let label = mf.label and manifests = mf.manifests in
       let r = Contain.analyze manifests in
       match witness with
       | Some root ->
@@ -691,7 +672,7 @@ let cmd_contain files format dot witness =
         end
         else begin
           let diags =
-            Lint.locate_all loaded
+            Lint.locate_all mf.loaded
               (List.filter
                  (fun d -> List.mem d.Diagnostic.rule_id contain_rule_ids)
                  (Lint.run manifests))

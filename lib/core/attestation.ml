@@ -29,16 +29,6 @@ type failure =
 let signed_body e =
   Wire.encode [ "attest"; e.ev_substrate; e.ev_measurement; e.ev_nonce; e.ev_claim ]
 
-let make_rsa ~substrate ~measurement ~nonce ~claim ~key ~cert =
-  let e =
-    { ev_substrate = substrate;
-      ev_measurement = measurement;
-      ev_nonce = nonce;
-      ev_claim = claim;
-      ev_proof = Rsa_quote { signature = ""; cert } }
-  in
-  { e with ev_proof = Rsa_quote { signature = Rsa.sign key (signed_body e); cert } }
-
 let make_hmac ~substrate ~measurement ~nonce ~claim ~device ~key =
   let e =
     { ev_substrate = substrate;

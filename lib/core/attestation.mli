@@ -43,12 +43,6 @@ type failure =
 (** [signed_body e] is the canonical byte string a proof covers. *)
 val signed_body : evidence -> string
 
-(** [make_rsa ~substrate ~measurement ~nonce ~claim ~key ~cert] signs
-    evidence with an attestation keypair. *)
-val make_rsa :
-  substrate:string -> measurement:string -> nonce:string -> claim:string ->
-  key:Lt_crypto.Rsa.keypair -> cert:Lt_crypto.Cert.t -> evidence
-
 (** [make_hmac ~substrate ~measurement ~nonce ~claim ~device ~key] MACs
     evidence with a fused device key. *)
 val make_hmac :

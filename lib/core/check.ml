@@ -920,8 +920,6 @@ let divergence t =
     Some "kernel capability state does not conform to the fleet"
   else None
 
-let full_equiv t = divergence t = None
-
 (* --- per-trust-domain slice ---------------------------------------------------- *)
 
 let domain_slice t tenant =

@@ -71,9 +71,6 @@ val conformance_clean : t -> bool
     hot path. *)
 val divergence : t -> string option
 
-(** [divergence t = None]. *)
-val full_equiv : t -> bool
-
 (** [domain_slice t tenant] — a canonical text rendering of one
     tenant's verdict slice: its components' diagnostics, flow labels,
     leaks and taint hits attributed to it, and the blast radii rooted in

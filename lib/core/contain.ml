@@ -14,12 +14,6 @@ let impact_to_string = function
   | Restarted -> "restarted"
   | Failed -> "failed"
 
-let impact_of_string = function
-  | "degraded" -> Some Degraded
-  | "restarted" -> Some Restarted
-  | "failed" -> Some Failed
-  | _ -> None
-
 type config = { supervised : bool; spof_fraction : float }
 
 let default_config = { supervised = true; spof_fraction = 0.5 }

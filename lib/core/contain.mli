@@ -30,8 +30,6 @@ val rank : impact -> int
 
 val impact_to_string : impact -> string  (** ["degraded"] etc. *)
 
-val impact_of_string : string -> impact option
-
 type config = {
   supervised : bool;
       (** [true] (default): callers reach dead callees through the
@@ -250,10 +248,6 @@ val dirty_roots :
 (** [(component -> trust path)] lookup over the manifests, first
     manifest wins; unknown names map to the root path. *)
 val trust_paths : Manifest.t list -> string -> string list
-
-(** One verdict per tenant: [Uncontained] lists exactly the escaping
-    roots under that tenant. *)
-val tenant_verdicts : Manifest.t list -> result -> (string * verdict) list
 
 (** [(root, victim, impact)] triples where the victim's trust-domain
     path is disjoint from the root's — fate-sharing across tenants,

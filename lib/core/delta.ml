@@ -231,13 +231,6 @@ let load_script_located path =
   | exception Sys_error e -> Error { pe_line = 0; pe_msg = e }
   | text -> parse_script_located text
 
-let load_script path =
-  match load_script_located path with
-  | Ok ds -> Ok ds
-  | Error { pe_line = 0; pe_msg } -> Error pe_msg
-  | Error { pe_line; pe_msg } ->
-    Error (Printf.sprintf "line %d: %s" pe_line pe_msg)
-
 let to_text deltas =
   String.concat ""
     (List.map

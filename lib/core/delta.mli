@@ -74,8 +74,6 @@ val parse_script : string -> (t list, string) result
 
 val load_script_located : string -> (t list, parse_error) result
 
-val load_script : string -> (t list, string) result
-
 (** Renders back to the script format; round-trips through
     {!parse_script}. *)
 val to_text : t list -> string

@@ -18,10 +18,6 @@ let create ~seed sites =
 
 let current : t option ref = ref None
 
-let install t = current := Some t
-
-let uninstall () = current := None
-
 let with_plan t f =
   let previous = !current in
   current := Some t;

@@ -20,10 +20,6 @@ val create : seed:int -> (string * int) list -> t
 
 (** {2 Ambient plan} *)
 
-val install : t -> unit
-
-val uninstall : unit -> unit
-
 (** [with_plan t f] installs [t] for the extent of [f], restoring the
     previous plan afterwards (also on exceptions). *)
 val with_plan : t -> (unit -> 'a) -> 'a

@@ -218,12 +218,6 @@ val trust_paths : Manifest.t list -> string -> string list
 (** The sorted tenant names declared by the fleet. *)
 val tenants : Manifest.t list -> string list
 
-(** One verdict per tenant: [Leak] holds exactly the leaks whose secret
-    holder lives under that tenant, so no leak is ever attributed to two
-    tenants. *)
-val tenant_verdicts :
-  Manifest.t list -> result -> (string * verdict) list
-
 (** Taint hits whose source and sink sit in {e disjoint} trust domains —
     must be empty for the tenant-isolation story to hold. *)
 val cross_tenant_hits : Manifest.t list -> result -> taint_hit list

@@ -237,14 +237,9 @@ let load_fleet_spanned path =
   | text -> parse_fleet_spanned text
   | exception Sys_error e -> Error e
 
-let load_spanned path = Result.map fst (load_fleet_spanned path)
-
 let load path =
-  Result.map (List.map (fun s -> s.sp_manifest)) (load_spanned path)
-
-let load_fleet path =
   Result.map
-    (fun (spans, hosts) -> (List.map (fun s -> s.sp_manifest) spans, hosts))
+    (fun (spans, _) -> List.map (fun s -> s.sp_manifest) spans)
     (load_fleet_spanned path)
 
 let to_text manifests =

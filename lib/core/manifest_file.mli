@@ -55,15 +55,11 @@ val load : string -> (Manifest.t list, string) result
     in file order. *)
 val parse_fleet : string -> (Manifest.t list * Manifest.host list, string) result
 
-val load_fleet : string -> (Manifest.t list * Manifest.host list, string) result
-
 (** A parsed manifest plus the 1-based line of its [component]
     directive, so diagnostics can point back into the source file. *)
 type span = { sp_manifest : Manifest.t; sp_line : int }
 
 val parse_spanned : string -> (span list, string) result
-
-val load_spanned : string -> (span list, string) result
 
 val parse_fleet_spanned : string -> (span list * Manifest.host list, string) result
 

@@ -3,6 +3,7 @@ type t =
   | List of t list
   | Str of string
   | Int of int
+  | Float of float
   | Bool of bool
   | Null
 
@@ -53,6 +54,8 @@ let rec add buf = function
     Buffer.add_char buf ']'
   | Str s -> add_str buf s
   | Int n -> Buffer.add_string buf (string_of_int n)
+  | Float f when Float.is_finite f -> Printf.bprintf buf "%.3f" f
+  | Float _ -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Null -> Buffer.add_string buf "null"
 

@@ -2,7 +2,7 @@
     repository goes through.
 
     The repository deliberately has no JSON dependency: reports only
-    need objects, lists, strings, integers, booleans and [null]. The
+    need objects, lists, strings, numbers, booleans and [null]. The
     printer emits no whitespace and keeps object members in the order
     given, so equal values print to equal bytes. *)
 
@@ -11,6 +11,7 @@ type t =
   | List of t list
   | Str of string
   | Int of int
+  | Float of float  (** printed with three decimals; [null] if not finite *)
   | Bool of bool
   | Null
 

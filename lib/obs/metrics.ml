@@ -41,12 +41,6 @@ let create () =
 
 let current : t option ref = ref None
 
-let install t = current := Some t
-
-let uninstall () = current := None
-
-let active () = !current
-
 let with_metrics t f =
   let prev = !current in
   current := Some t;
@@ -164,9 +158,6 @@ let observe_in t ~group ~name ticks =
 let incr_grouped ~group name =
   match !current with None -> () | Some t -> incr_in t ~group name
 
-let observe_grouped ~group ~name ticks =
-  match !current with None -> () | Some t -> observe_in t ~group ~name ticks
-
 (* the whole per-span feed in one registry resolution: a spans/<kind>
    counter, a <kind>/<name> latency histogram, and — when the span is
    tagged with a substrate — a substrate/<s> histogram *)
@@ -234,36 +225,8 @@ let quantile_bounds t key q =
 
 (* --- rendering ---------------------------------------------------------- *)
 
-let render_text t =
-  let buf = Buffer.create 512 in
-  let cs = counters t in
-  if cs <> [] then begin
-    Buffer.add_string buf "counters:\n";
-    List.iter (fun (k, v) -> Buffer.add_string buf (Printf.sprintf "  %-40s %d\n" k v)) cs
-  end;
-  let hs = summaries t in
-  if hs <> [] then begin
-    Buffer.add_string buf
-      (Printf.sprintf "histograms (ticks):\n  %-40s %8s %8s %8s %8s %8s\n" "key"
-         "count" "p50" "p95" "p99" "max");
-    List.iter
-      (fun (k, s) ->
-        Buffer.add_string buf
-          (Printf.sprintf "  %-40s %8d %8d %8d %8d %8d\n" k s.s_count s.s_p50
-             s.s_p95 s.s_p99 s.s_max))
-      hs
-  end;
-  Buffer.contents buf
-
 let summary_json s =
   Json.Obj
     [ ("count", Json.Int s.s_count); ("sum", Json.Int s.s_sum);
       ("p50", Json.Int s.s_p50); ("p95", Json.Int s.s_p95);
       ("p99", Json.Int s.s_p99); ("max", Json.Int s.s_max) ]
-
-let render_json t =
-  Json.to_string
-    (Json.Obj
-       [ ("counters", Json.counts (counters t));
-         ( "histograms",
-           Json.Obj (List.map (fun (k, s) -> (k, summary_json s)) (summaries t)) ) ])

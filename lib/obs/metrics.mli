@@ -1,9 +1,8 @@
 (** Runtime metrics: counters and log-scale latency histograms.
 
     A {!t} is a metrics registry. Instrumented code reports through the
-    ambient registry installed with {!install} (or scoped with
-    {!with_metrics}); when none is installed every reporting call is a
-    single reference read — cheap enough to leave compiled into hot
+    ambient registry scoped with {!with_metrics}; when none is
+    installed every reporting call is a single reference read — cheap enough to leave compiled into hot
     paths permanently.
 
     Latencies are {e simulated ticks} (see {!Trace}): histograms use
@@ -16,12 +15,6 @@ type t
 val create : unit -> t
 
 (** {2 Ambient registry} *)
-
-val install : t -> unit
-
-val uninstall : unit -> unit
-
-val active : unit -> t option
 
 (** [with_metrics t f] installs [t] for the extent of [f] and restores
     the previous registry afterwards (also on exceptions). *)
@@ -42,8 +35,6 @@ val observe : key:string -> int -> unit
     steady-state reporting allocates no key. *)
 
 val incr_grouped : group:string -> string -> unit
-
-val observe_grouped : group:string -> name:string -> int -> unit
 
 (** [observe_span ~kind ~name ~attrs ticks] — the whole per-span feed in
     one registry resolution: bumps the [spans/<kind>] counter, adds
@@ -78,11 +69,6 @@ val quantile_bounds : t -> string -> float -> (int * int) option
 
 (** {2 Rendering} *)
 
-val render_text : t -> string
-
-val render_json : t -> string
-(** one JSON object: [{"counters":{...},"histograms":{...}}] *)
-
 (** [{"count":..,"sum":..,"p50":..,"p95":..,"p99":..,"max":..}] — one
-    histogram as it appears in {!render_json} and the driver reports. *)
+    histogram as it appears in the driver reports. *)
 val summary_json : summary -> Json.t

@@ -76,14 +76,7 @@ let capacity t = t.cap
 
 let current : t option ref = ref None
 
-let install t = current := Some t
-
-let uninstall () = current := None
-
-let active () = !current
-
-(* allocation-free check for fast paths: [active] boxes nothing either,
-   but pattern-matching here keeps the caller honest *)
+(* allocation-free check for fast paths *)
 let enabled () = match !current with None -> false | Some _ -> true
 
 let with_tracer t f =

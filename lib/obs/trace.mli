@@ -3,8 +3,8 @@
     A {!t} is a tracer: a bounded ring buffer of {!span}s plus a logical
     clock in {e simulated ticks}. Instrumented code (the deployment
     router, the substrate adapters, the microkernel IPC path, the
-    network gateway) reports through the ambient tracer installed with
-    {!install}; when none is installed every instrumentation point costs
+    network gateway) reports through the ambient tracer scoped with
+    {!with_tracer}; when none is installed every instrumentation point costs
     one reference read, so tracing can stay compiled into hot paths.
 
     Spans are causally linked: {!with_span} nests, so a span opened
@@ -42,14 +42,8 @@ val capacity : t -> int
 
 (** {2 Ambient tracer} *)
 
-val install : t -> unit
-
-val uninstall : unit -> unit
-
-val active : unit -> t option
-
-(** [enabled ()] — allocation-free [active () <> None], for fast paths
-    that branch on tracing without boxing an option. *)
+(** [enabled ()] — whether a tracer is installed; allocation-free, for
+    fast paths that branch on tracing without boxing an option. *)
 val enabled : unit -> bool
 
 (** [with_tracer t f] installs [t] for the extent of [f], restoring the

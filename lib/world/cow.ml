@@ -31,13 +31,6 @@ let create ~len =
 
 let length t = t.length
 
-let of_bytes b =
-  let t = create ~len:(Bytes.length b) in
-  Array.iteri
-    (fun i c -> Bytes.blit b (i * chunk_size) c 0 (Bytes.length c))
-    t.chunks;
-  t
-
 (* make chunk [i] private to the current generation before mutating it *)
 let ensure_owned t i =
   if t.owner.(i) <> t.gen then begin

@@ -16,7 +16,6 @@ val chunk_size : int
 (** [create ~len] — a zero-filled store of [len] bytes. *)
 val create : len:int -> t
 
-val of_bytes : Bytes.t -> t
 val length : t -> int
 val get : t -> int -> char
 val set : t -> int -> char -> unit

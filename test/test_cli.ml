@@ -11,6 +11,18 @@ let run args =
 let check_exit name expected args =
   Alcotest.(check int) name expected (run args)
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* [capture args] — exit code, stdout and stderr of one invocation *)
+let capture args =
+  let out = Filename.temp_file "lateral_cli" ".out"
+  and err = Filename.temp_file "lateral_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out; Sys.remove err)
+    (fun () ->
+      let code = Sys.command (Printf.sprintf "%s %s >%s 2>%s" exe args out err) in
+      (code, read_file out, read_file err))
+
 let with_temp content f =
   let path = Filename.temp_file "lateral_cli" ".tmp" in
   let oc = open_out path in
@@ -122,6 +134,33 @@ let test_usage_errors () =
   check_exit "unknown subcommands are usage errors" 2 "frobnicate";
   check_exit "unknown flags are usage errors" 2 "lint --bogus-flag"
 
+(* one good manifest and one unparseable file: every command names the
+   bad file on stderr and exits 2, but lint and flow still report on
+   the good file while check and contain print nothing *)
+let test_partial_parse () =
+  with_temp "component a\n  bogus-field x\n" (fun bad ->
+      let err =
+        bad ^ ": line 2: unknown or malformed directive \"bogus-field\"\n"
+      in
+      let expect cmd out =
+        let code, o, e = capture (Printf.sprintf "%s %s %s" cmd clean bad) in
+        Alcotest.(check int) (cmd ^ " exit code") 2 code;
+        Alcotest.(check string) (cmd ^ " stdout") out o;
+        Alcotest.(check string) (cmd ^ " stderr") err e
+      in
+      expect "lint"
+        (clean ^ ": 0 diagnostics (0 errors, 0 warnings, 0 info)\n");
+      expect "flow"
+        (clean
+        ^ ": 3 components, 2 flow edges\n\
+           labels:\n\
+          \  gateway          tainted\n\
+          \  keystore         secret{keystore}\n\
+          \  parser           tainted\n\
+           verdict: secure (no secret reaches an exposed component)\n");
+      expect "check" "";
+      expect "contain" "")
+
 let suite =
   [ Alcotest.test_case "scenario demos exit 0, bad modes 2" `Quick
       test_demo_commands;
@@ -139,4 +178,6 @@ let suite =
     Alcotest.test_case "every driver: a passing run, bad plans exit 2" `Quick
       test_drivers;
     Alcotest.test_case "unwritable --trace exits 2 after the report" `Quick
-      test_unwritable_trace ]
+      test_unwritable_trace;
+    Alcotest.test_case "lint/flow/check/contain on one unparseable file"
+      `Quick test_partial_parse ]

@@ -223,7 +223,14 @@ let test_json_printer () =
             ("a", Json.Obj [ ("b", Json.Obj [ ("c", Json.List []) ]) ]);
             ("k", Json.counts [ ("n", 3) ]) ]));
   Alcotest.(check string) "keys are escaped too" {|{"a\"b":"c"}|}
-    (Json.to_string (Json.Obj [ ({|a"b|}, Json.Str "c") ]))
+    (Json.to_string (Json.Obj [ ({|a"b|}, Json.Str "c") ]));
+  Alcotest.(check string) "floats: three decimals, non-finite is null"
+    {|[2.000,-0.250,1234.568,null,null]|}
+    (Json.to_string
+       (Json.List
+          (List.map
+             (fun f -> Json.Float f)
+             [ 2.0; -0.25; 1234.5678; Float.nan; Float.infinity ])))
 
 let suite =
   [ Alcotest.test_case "span causality invariants" `Quick test_span_causality;
